@@ -14,6 +14,8 @@ looser per-prefix threshold (35% by default via `PREFIX=0.35` syntax):
 they carry chain-length, refactorization-cadence, and fallback variance,
 but a Forrest–Tomlin or pricing regression still moves them far past that
 band, so leaving them report-only would let the update path rot silently.
+The Eq. 21 baseline rows (BM_BaselineAssign, a session sweep plus one
+dense re-solve) gate at the same 35%.
 
 A gated bench present in the baseline but missing from the current run is
 a failure unless --allow-missing is passed. The committed baseline includes
@@ -62,7 +64,8 @@ DEFAULT_PROXY_PREFIX = "BM_LuFactorSolve/"
 # matters: first match wins, so the pricing A/B rows (pinned Dantzig/Devex
 # on the session sweep — non-default iterate paths, the noisiest rows in
 # the file) claim their looser 0.50 band before the generic revised
-# prefix would.
+# prefix would. The baseline rows sweep on per-chain sessions too, so they
+# share the session band.
 DEFAULT_GATED_PREFIXES = (
     "BM_Stage1SweepDense/",
     "BM_Stage1CoarseToFineDense/",
@@ -70,6 +73,7 @@ DEFAULT_GATED_PREFIXES = (
     "BM_Stage1SweepRevisedSessionDevex=0.50",
     "BM_Stage1SweepRevised=0.35",
     "BM_Stage1CoarseToFineRevised=0.35",
+    "BM_BaselineAssign/=0.35",
 )
 # Reported (not gated) for the CI log.
 DEFAULT_REPORTED_PREFIXES = ()

@@ -10,12 +10,18 @@
 // fractions of each node are scaled down so the used-core count is integral
 // (the paper's rounding rule).
 //
+// The setpoint sweep evaluates grid points on an equivalent node-aggregated
+// form of the Eq. 21 LP, one resident LP per warm chain (baseline.cpp,
+// docs/MODEL.md §7). The published plan comes from the Eq. 21 LP itself
+// (solve_at), re-solved on the Dense oracle at the winning setpoints.
+//
 // Note: the paper's Eq. 19 prints PCN_j = B_j + pi_{NTj,0} * sum_i FRAC(i,j);
 // the per-node compute power must scale with the number of cores actually
 // used, so we take PCN_j = B_j + pi_{NTj,0} * |cores_j| * sum_i FRAC(i,j)
 // (see DESIGN.md, paper-typo list).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/assigner.h"
@@ -31,9 +37,12 @@ struct BaselineOptions {
   double tcrac_max_c = 25.0;
   solver::GridSearchOptions grid;
   bool full_grid = false;
-  // LP engine and numerics for the sweep's solves; the final re-solve at the
-  // selected setpoints always runs the Dense oracle (engine-independent
-  // published plans, mirroring Stage 1).
+  // Numerics and telemetry sink for the sweep's solves. The sweep runs on
+  // resident LP sessions (always the revised engine; engine and warm_start
+  // are ignored there); the final re-solve at the selected setpoints always
+  // runs the Dense oracle (engine-independent published plans, mirroring
+  // Stage 1). With a telemetry sink, assign() also records the
+  // baseline.sweep / baseline.polish timers and baseline.lp_solves.
   solver::LpOptions lp;
 };
 
@@ -55,6 +64,15 @@ class BaselineAssigner {
   // As above with explicit LP options (engine, warm start).
   LpOutcome solve_at(const std::vector<double>& crac_out,
                      const solver::LpOptions& lp) const;
+
+  // The optimum of the sweep LP that assign() evaluates grid points with
+  // (Eq. 21 with node load aggregated; docs/MODEL.md §7) at each point of
+  // `chain`, in order, on one resident LP patched from point to point;
+  // nullopt where it is infeasible. Equals solve_at's objective up to
+  // rounding.
+  std::vector<std::optional<double>> sweep_objectives(
+      const std::vector<std::vector<double>>& chain,
+      const solver::LpOptions& lp = {}) const;
 
  private:
   const dc::DataCenter& dc_;

@@ -12,9 +12,10 @@
 //
 // Two engines share this interface (LpOptions::engine):
 //   * Revised (default): revised simplex over an LU-factorized basis with
-//     product-form eta updates and periodic refactorization, sparse column
-//     access, and warm starts from an exported LpBasis (a dual-simplex phase
-//     absorbs RHS/bound changes). This is what makes the CRAC setpoint sweep
+//     in-place Forrest–Tomlin updates (product-form etas remain selectable
+//     through LpOptions::ft_updates) and budgeted refactorization, sparse
+//     column access, and warm starts from an exported LpBasis (a
+//     dual-simplex phase absorbs RHS/bound changes). This is what makes the CRAC setpoint sweep
 //     and the recovery re-plans cheap: neighboring grid points differ mostly
 //     in the RHS, so the previous optimal basis is a few pivots from optimal.
 //   * Dense: the original dense-tableau implementation, kept as a

@@ -4,8 +4,9 @@
 // the linear sensitivity of node outlet temperatures to node power, and as
 // the basis factorization of the revised simplex (solver/revised.cpp), whose
 // FTRAN/BTRAN kernels need allocation-free and transposed solves. The
-// systems are small (order NCN ~ 150) and well conditioned because G_nn is a
-// strict sub-stochastic recirculation matrix.
+// heat-flow systems have order NCN and are well conditioned because G_nn is
+// a strict sub-stochastic recirculation matrix; simplex bases are larger
+// (521 x 521 for the Stage-1 LP at 500 nodes) and sparse.
 #pragma once
 
 #include <cstdint>

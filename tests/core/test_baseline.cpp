@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "testutil.h"
+#include "util/telemetry.h"
 
 namespace tapo::core {
 namespace {
@@ -141,6 +145,161 @@ TEST(Baseline, ThreeStageBeatsOrMatchesBaselineOnAverage) {
   }
   ASSERT_GE(feasible_runs, 3);
   EXPECT_GE(total_three, 0.98 * total_base);
+}
+
+// Node 0's type meets no task type's deadline, so every node of that type
+// gets no FRAC variable (and no load variable in the sweep LP).
+scenario::Scenario deadline_starved_scenario() {
+  auto scenario = test::make_small_scenario(111, 10, 2);
+  dc::DataCenter& dc = scenario.dc;
+  const std::size_t starved = dc.nodes[0].type;
+  for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
+    dc.task_types[i].relative_deadline =
+        0.999 * dc.ecs.etc_seconds(i, starved, 0);
+  }
+  return scenario;
+}
+
+// The power budget cut to a quarter of its dynamic headroom: the baseline
+// is infeasible below ~0.246 on this park, so only the warmest setpoints
+// leave room for any work.
+scenario::Scenario tight_budget_scenario() {
+  auto scenario = test::make_small_scenario(112, 10, 2);
+  dc::DataCenter& dc = scenario.dc;
+  const double base = dc.total_base_power_kw();
+  dc.p_const_kw = base + 0.25 * (dc.p_const_kw - base);
+  return scenario;
+}
+
+// Every 2-CRAC setpoint pair on a 2.5 degC grid over [10, 25].
+std::vector<std::vector<double>> setpoint_grid() {
+  std::vector<std::vector<double>> points;
+  for (double a = 10.0; a <= 25.0; a += 2.5) {
+    for (double b = 10.0; b <= 25.0; b += 2.5) points.push_back({a, b});
+  }
+  return points;
+}
+
+void expect_sweep_matches_solve_at(const dc::DataCenter& dc) {
+  const thermal::HeatFlowModel model(dc);
+  const BaselineAssigner assigner(dc, model);
+  const auto points = setpoint_grid();
+  // One chain over the whole grid (patched moves through feasible and
+  // infeasible stretches) and a fresh LP per point.
+  const auto chained = assigner.sweep_objectives(points);
+  ASSERT_EQ(chained.size(), points.size());
+  std::size_t feasible = 0, infeasible = 0;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    const auto reference = assigner.solve_at(points[k]);
+    const auto cold = assigner.sweep_objectives({points[k]});
+    for (const std::optional<double>& value : {chained[k], cold[0]}) {
+      ASSERT_EQ(value.has_value(), reference.feasible)
+          << "setpoints " << points[k][0] << ", " << points[k][1];
+      if (!value) continue;
+      EXPECT_NEAR(*value, reference.objective,
+                  1e-9 * std::max(1.0, std::fabs(reference.objective)))
+          << "setpoints " << points[k][0] << ", " << points[k][1];
+    }
+    ++(reference.feasible ? feasible : infeasible);
+  }
+  // The grid must exercise both verdicts.
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(infeasible, 0u);
+}
+
+TEST(BaselineSweepLp, MatchesSolveAtOverSetpointGrid) {
+  expect_sweep_matches_solve_at(test::make_small_scenario(91, 10, 2).dc);
+}
+
+TEST(BaselineSweepLp, MatchesSolveAtWithDeadlineStarvedNodes) {
+  expect_sweep_matches_solve_at(deadline_starved_scenario().dc);
+}
+
+TEST(BaselineSweepLp, MatchesSolveAtUnderNearInfeasibleBudget) {
+  expect_sweep_matches_solve_at(tight_budget_scenario().dc);
+}
+
+TEST(Baseline, AssignIdenticalForAnyThreadCountAndGrid) {
+  for (const bool full_grid : {false, true}) {
+    for (std::uint64_t seed : {91, 101}) {
+      const auto scenario = test::make_small_scenario(seed, 10, 2);
+      const thermal::HeatFlowModel model(scenario.dc);
+      const BaselineAssigner assigner(scenario.dc, model);
+      BaselineOptions options;
+      options.full_grid = full_grid;
+      const Assignment serial = assigner.assign(options);
+      ASSERT_TRUE(serial.feasible);
+      for (const std::size_t threads : {2u, 8u}) {
+        options.grid.threads = threads;
+        const Assignment a = assigner.assign(options);
+        ASSERT_TRUE(a.feasible);
+        EXPECT_EQ(a.crac_out_c, serial.crac_out_c);
+        EXPECT_EQ(a.reward_rate, serial.reward_rate);
+        EXPECT_EQ(a.core_pstate, serial.core_pstate);
+        ASSERT_EQ(a.tc.rows(), serial.tc.rows());
+        ASSERT_EQ(a.tc.cols(), serial.tc.cols());
+        for (std::size_t i = 0; i < a.tc.rows(); ++i) {
+          for (std::size_t k = 0; k < a.tc.cols(); ++k) {
+            EXPECT_EQ(a.tc(i, k), serial.tc(i, k));
+          }
+        }
+      }
+    }
+  }
+}
+
+// Published baseline plans pinned to the values of the per-point Eq. 21
+// sweep that the sweep LP replaced: the setpoint search must pick the same
+// point, and the Dense re-solve and rounding must publish the same reward.
+struct PinnedPlan {
+  const char* name;
+  scenario::Scenario (*make)();
+  bool full_grid;
+  std::vector<double> crac_out_c;
+  double reward_rate;
+};
+
+TEST(Baseline, PublishedPlansPinned) {
+  const PinnedPlan pins[] = {
+      {"seed 91", [] { return test::make_small_scenario(91, 10, 2); }, false,
+       {18.035714285714288, 16.964285714285719}, 228.18070421586145},
+      {"seed 101 full grid",
+       [] { return test::make_small_scenario(101, 10, 2); }, true,
+       {20.0, 15.0}, 216.06242169068324},
+      {"seed 7, 40 nodes",
+       [] { return test::make_small_scenario(7, 40, 3); }, false,
+       {16.964285714285715, 15.892857142857144, 16.964285714285715},
+       866.97621568528791},
+      {"deadline-starved nodes", deadline_starved_scenario, false,
+       {18.035714285714288, 17.767857142857146}, 220.56706757357264},
+      {"near-infeasible budget", tight_budget_scenario, false,
+       {19.910714285714285, 19.642857142857142}, 9.1863355352871778},
+  };
+  for (const PinnedPlan& pin : pins) {
+    const auto scenario = pin.make();
+    const thermal::HeatFlowModel model(scenario.dc);
+    BaselineOptions options;
+    options.full_grid = pin.full_grid;
+    const Assignment a = BaselineAssigner(scenario.dc, model).assign(options);
+    ASSERT_TRUE(a.feasible) << pin.name;
+    EXPECT_EQ(a.crac_out_c, pin.crac_out_c) << pin.name;
+    EXPECT_NEAR(a.reward_rate, pin.reward_rate, 1e-12 * pin.reward_rate)
+        << pin.name;
+  }
+}
+
+TEST(Baseline, TelemetryAttributesSweepAndPolish) {
+  const auto scenario = test::make_small_scenario(91, 10, 2);
+  const thermal::HeatFlowModel model(scenario.dc);
+  util::telemetry::Registry reg;
+  BaselineOptions options;
+  options.lp.telemetry = &reg;
+  const Assignment a = BaselineAssigner(scenario.dc, model).assign(options);
+  ASSERT_TRUE(a.feasible);
+  EXPECT_EQ(reg.timer_stats("baseline.sweep").count, 1u);
+  EXPECT_EQ(reg.timer_stats("baseline.polish").count, 1u);
+  EXPECT_EQ(reg.counter_value("baseline.lp_solves"), a.lp_solves);
+  EXPECT_GT(a.lp_solves, 0u);
 }
 
 }  // namespace

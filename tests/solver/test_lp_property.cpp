@@ -193,27 +193,74 @@ TEST(LpProperty, RelaxingRhsNeverDecreasesObjective) {
   }
 }
 
+// A random LP that is feasible and bounded by construction: every variable
+// has a finite box, and each row's RHS is set from a point x0 inside the box
+// (with slack on inequality rows), so x0 is feasible and the box bounds the
+// objective.
+RandomLp make_bounded_feasible_lp(util::Rng& rng, std::size_t n_vars,
+                                  std::size_t n_rows) {
+  RandomLp lp;
+  std::vector<double> x0(n_vars);
+  for (std::size_t v = 0; v < n_vars; ++v) {
+    const double lo = rng.uniform(-2.0, 0.0);
+    const double hi = lo + rng.uniform(0.5, 4.0);
+    x0[v] = rng.uniform(lo, hi);
+    lp.problem.add_variable(lo, hi, rng.uniform(-2.0, 2.0));
+  }
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    std::vector<double> dense(n_vars, 0.0);
+    std::vector<std::pair<std::size_t, double>> terms;
+    double activity = 0.0;
+    for (std::size_t v = 0; v < n_vars; ++v) {
+      if (rng.next_double() < 0.6) {
+        dense[v] = rng.uniform(-1.5, 1.5);
+        terms.emplace_back(v, dense[v]);
+        activity += dense[v] * x0[v];
+      }
+    }
+    const double pick = rng.next_double();
+    Relation rel = Relation::LessEq;
+    double rhs = activity + rng.uniform(0.0, 2.0);
+    if (pick < 0.2) {
+      rel = Relation::GreaterEq;
+      rhs = activity - rng.uniform(0.0, 2.0);
+    } else if (pick < 0.3) {
+      rel = Relation::Equal;
+      rhs = activity;
+    }
+    lp.rows.push_back(dense);
+    lp.rels.push_back(rel);
+    lp.rhs.push_back(rhs);
+    lp.problem.add_constraint(std::move(terms), rel, rhs);
+  }
+  return lp;
+}
+
 TEST(LpProperty, ScalingObjectiveScalesOptimum) {
   util::Rng rng(88);
-  RandomLp lp = make_random_lp(rng, 6, 4);
-  const LpSolution s1 = solve_lp(lp.problem);
-  if (s1.status != LpStatus::Optimal) GTEST_SKIP();
-  LpProblem scaled;
-  for (std::size_t v = 0; v < lp.problem.num_vars(); ++v) {
-    scaled.add_variable(lp.problem.lower_bound(v), lp.problem.upper_bound(v),
-                        3.0 * lp.problem.objective_coeff(v));
-  }
-  for (std::size_t r = 0; r < lp.rows.size(); ++r) {
-    std::vector<std::pair<std::size_t, double>> terms;
+  for (int trial = 0; trial < 20; ++trial) {
+    const RandomLp lp = make_bounded_feasible_lp(rng, 6, 4);
+    const LpSolution s1 = solve_lp(lp.problem);
+    ASSERT_EQ(s1.status, LpStatus::Optimal) << "trial " << trial;
+    expect_optimality_certificate(lp, s1);
+    LpProblem scaled;
     for (std::size_t v = 0; v < lp.problem.num_vars(); ++v) {
-      if (lp.rows[r][v] != 0.0) terms.emplace_back(v, lp.rows[r][v]);
+      scaled.add_variable(lp.problem.lower_bound(v), lp.problem.upper_bound(v),
+                          3.0 * lp.problem.objective_coeff(v));
     }
-    scaled.add_constraint(std::move(terms), lp.rels[r], lp.rhs[r]);
+    for (std::size_t r = 0; r < lp.rows.size(); ++r) {
+      std::vector<std::pair<std::size_t, double>> terms;
+      for (std::size_t v = 0; v < lp.problem.num_vars(); ++v) {
+        if (lp.rows[r][v] != 0.0) terms.emplace_back(v, lp.rows[r][v]);
+      }
+      scaled.add_constraint(std::move(terms), lp.rels[r], lp.rhs[r]);
+    }
+    const LpSolution s2 = solve_lp(scaled);
+    ASSERT_EQ(s2.status, LpStatus::Optimal) << "trial " << trial;
+    EXPECT_NEAR(s2.objective, 3.0 * s1.objective,
+                1e-6 * std::max(1.0, std::fabs(s1.objective)))
+        << "trial " << trial;
   }
-  const LpSolution s2 = solve_lp(scaled);
-  ASSERT_EQ(s2.status, LpStatus::Optimal);
-  EXPECT_NEAR(s2.objective, 3.0 * s1.objective,
-              1e-6 * std::max(1.0, std::fabs(s1.objective)));
 }
 
 }  // namespace
