@@ -1,13 +1,16 @@
 #include "sim/des.h"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 
+#include "sim/trace.h"
 #include "util/check.h"
 #include "util/telemetry.h"
 #include "util/threadpool.h"
@@ -18,19 +21,19 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// TC-weighted relative L1 deviation of realized from desired rates at `now`
-// (the SimResult::mean_tracking_error definition, evaluated mid-run by the
-// telemetry sampler as well as once at the end).
-double tracking_error_at(const dc::DataCenter& dc,
-                         const core::Assignment& assignment,
-                         const core::DynamicScheduler& scheduler, double now) {
+// TC-weighted relative L1 deviation of realized from desired rates (the
+// SimResult::mean_tracking_error definition). `atc(i, k)` reads the realized
+// rate of type i on core k from whichever scheduler (or shard) routed i.
+template <typename Atc>
+double tracking_error(const dc::DataCenter& dc, const core::Assignment& plan,
+                      const Atc& atc) {
   double err_sum = 0.0;
   double weight_sum = 0.0;
   for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
     for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      const double tc = assignment.tc(i, k);
+      const double tc = plan.tc(i, k);
       if (tc <= 0.0) continue;
-      err_sum += std::fabs(scheduler.atc(i, k, now) - tc);
+      err_sum += std::fabs(atc(i, k) - tc);
       weight_sum += tc;
     }
   }
@@ -59,18 +62,17 @@ double backlog_depth(const dc::DataCenter& dc,
   return max_deadline > 0.0 ? deepest / max_deadline : 0.0;
 }
 
-// Per-type next-arrival calendar for batched admission. Each task type's
-// renewal stream is drawn lazily exactly as the old one-event-per-arrival
-// design did (one interarrival per processed arrival, stopping once the next
-// time would pass the horizon), so arrival times are bit-identical — only
-// the event-calendar traffic is gone. peek() is an O(owned types) min-scan;
-// with the paper-scale handful of task types that beats a heap.
+// Next-arrival source for batched admission: per-type renewal streams drawn
+// lazily (one interarrival per processed arrival, none past the horizon), or
+// a recorded Trace replayed in stored order. peek() is an O(owned types)
+// min-scan; with the paper-scale handful of task types that beats a heap.
 class ArrivalPump {
  public:
   ArrivalPump(const std::vector<dc::TaskType>& task_types, util::Rng rng,
               double horizon, const std::vector<std::size_t>* types = nullptr,
               const RateTrace* trace = nullptr)
-      : arrivals_(task_types, std::move(rng), trace), horizon_(horizon) {
+      : arrivals_(std::in_place, task_types, std::move(rng), trace),
+        horizon_(horizon) {
     next_.assign(task_types.size(), kInf);
     if (types) {
       owned_ = *types;
@@ -79,14 +81,24 @@ class ArrivalPump {
       std::iota(owned_.begin(), owned_.end(), 0);
     }
     for (std::size_t i : owned_) {
-      const double t = arrivals_.next_arrival_after(i, 0.0);
+      const double t = arrivals_->next_arrival_after(i, 0.0);
       if (t <= horizon_) next_[i] = t;
     }
   }
 
+  // Replay: the pump stops at the first event past the horizon.
+  ArrivalPump(const Trace& replay, double horizon)
+      : replay_(&replay), horizon_(horizon) {}
+
   // Earliest pending arrival; false when every stream is drained. Exact-time
-  // ties resolve to the lowest task type id.
+  // ties resolve to the lowest task type id (live) or trace order (replay).
   bool peek(double& time, std::size_t& type) const {
+    if (replay_) {
+      if (cursor_ == replay_->size()) return false;
+      time = (*replay_)[cursor_].time;
+      type = (*replay_)[cursor_].task_type;
+      return time <= horizon_;
+    }
     time = kInf;
     for (std::size_t i : owned_) {
       if (next_[i] < time) {
@@ -99,246 +111,66 @@ class ArrivalPump {
 
   // Consumes the arrival of `type` at time `now` and draws its successor.
   void advance(std::size_t type, double now) {
-    const double t = arrivals_.next_arrival_after(type, now);
+    if (replay_) {
+      ++cursor_;
+      return;
+    }
+    const double t = arrivals_->next_arrival_after(type, now);
     next_[type] = t <= horizon_ ? t : kInf;
   }
 
  private:
-  ArrivalProcess arrivals_;
+  std::optional<ArrivalProcess> arrivals_;  // live runs
+  const Trace* replay_ = nullptr;           // replays
+  std::size_t cursor_ = 0;
   std::vector<double> next_;
   std::vector<std::size_t> owned_;
   double horizon_;
 };
 
-// Admission-batch statistics published as sim.* telemetry at end of run.
-struct BatchStats {
-  std::size_t batches = 0;
-  std::size_t max_batch = 0;
+// Run-wide counters published as sim.* / scheduler.* telemetry at end of run.
+struct RunStats {
+  core::RoutingStats routing;
+  std::size_t batches = 0;    // arrival admission batches
+  std::size_t max_batch = 0;  // largest single batch
+  std::size_t events = 0;     // calendar events executed
+
+  void add(const RunStats& o) {
+    routing.indexed_routes += o.routing.indexed_routes;
+    routing.scan_routes += o.routing.scan_routes;
+    routing.index_pops += o.routing.index_pops;
+    routing.index_deferred += o.routing.index_deferred;
+    routing.index_stale_pops += o.routing.index_stale_pops;
+    batches += o.batches;
+    max_batch = std::max(max_batch, o.max_batch);
+    events += o.events;
+  }
 };
 
-// Drives one event loop to the horizon: admission batches interleaved with
-// calendar events in global time order (calendar first on exact ties). The
-// `admit` callback routes a single arrival at its arrival time.
-template <typename Admit>
-void run_event_loop(Engine& engine, ArrivalPump& pump, double horizon,
-                    BatchStats& stats, const Admit& admit) {
-  double ta = 0.0;
-  std::size_t type = 0;
-  while (true) {
-    const bool have_arrival = pump.peek(ta, type);
-    const double te = engine.next_time();
-    if (have_arrival && ta < te) {
-      std::size_t batch = 0;
-      do {
-        admit(type, ta);
-        pump.advance(type, ta);
-        ++batch;
-      } while (pump.peek(ta, type) && ta < te);
-      ++stats.batches;
-      if (batch > stats.max_batch) stats.max_batch = batch;
-    } else if (!engine.run_one(horizon)) {
-      break;
-    }
-  }
-  engine.run_until(horizon);  // no events left; advances the clock only
-}
-
-void record_routing_stats(util::telemetry::Registry* reg,
-                          const core::RoutingStats& stats,
-                          const BatchStats& batches) {
-  if (!reg) return;
-  reg->count("scheduler.routes_indexed", stats.indexed_routes);
-  reg->count("scheduler.routes_scan", stats.scan_routes);
-  reg->count("scheduler.index_pops", stats.index_pops);
-  reg->count("scheduler.index_deferred", stats.index_deferred);
-  reg->count("scheduler.index_stale_pops", stats.index_stale_pops);
-  reg->count("sim.arrival_batches", batches.batches);
-  reg->gauge_max("sim.max_batch_size", static_cast<double>(batches.max_batch));
-}
-
-void accumulate(core::RoutingStats& into, const core::RoutingStats& from) {
-  into.routed += from.routed;
-  into.indexed_routes += from.indexed_routes;
-  into.scan_routes += from.scan_routes;
-  into.index_pops += from.index_pops;
-  into.index_deferred += from.index_deferred;
-  into.index_stale_pops += from.index_stale_pops;
-}
-
-// Component-sharded simulation (docs/SCHEDULER.md §4). Task types that share
-// a candidate core must co-shard — union-find over the candidate structure
-// finds the connected components, each of which runs as a fully independent
-// sub-simulation. Exactness rests on three facts: per-type arrival streams
-// are independent RNG substreams, a component's routing state (ATC counts,
-// index heaps, core backlog) is touched by no other component, and the ATC
-// clock is pinned to the global first-arrival time in every shard.
-SimResult simulate_sharded(const dc::DataCenter& dc,
-                           const core::Assignment& assignment,
-                           const SimOptions& options,
-                           const core::SchedulerOptions& scheduler_options,
-                           util::telemetry::Registry* reg,
-                           std::size_t threads) {
-  const double horizon = options.duration_seconds;
-  const double warmup = options.warmup_seconds;
-  const std::size_t t = dc.num_task_types();
-
-  // Candidate structure (policy-aware: the ablation policies share every
-  // active core, so they collapse into one component).
-  core::SchedulerOptions probe_options = scheduler_options;
-  probe_options.telemetry = nullptr;
-  const core::DynamicScheduler probe(dc, assignment, probe_options);
-
-  std::vector<std::size_t> parent(t);
-  std::iota(parent.begin(), parent.end(), 0);
-  const std::function<std::size_t(std::size_t)> find =
-      [&](std::size_t i) -> std::size_t {
-    while (parent[i] != i) {
-      parent[i] = parent[parent[i]];
-      i = parent[i];
-    }
-    return i;
-  };
-  std::vector<std::ptrdiff_t> core_owner(dc.total_cores(), -1);
-  for (std::size_t i = 0; i < t; ++i) {
-    for (std::size_t k : probe.candidates(i)) {
-      if (core_owner[k] < 0) {
-        core_owner[k] = static_cast<std::ptrdiff_t>(i);
-      } else {
-        const std::size_t a = find(i);
-        const std::size_t b = find(static_cast<std::size_t>(core_owner[k]));
-        if (a != b) parent[std::max(a, b)] = std::min(a, b);
-      }
-    }
-  }
-  std::vector<std::vector<std::size_t>> comps;
-  std::vector<std::ptrdiff_t> comp_of_root(t, -1);
-  std::vector<std::size_t> comp_of_type(t, 0);
-  for (std::size_t i = 0; i < t; ++i) {
-    const std::size_t r = find(i);
-    if (comp_of_root[r] < 0) {
-      comp_of_root[r] = static_cast<std::ptrdiff_t>(comps.size());
-      comps.emplace_back();
-    }
-    comp_of_type[i] = static_cast<std::size_t>(comp_of_root[r]);
-    comps[static_cast<std::size_t>(comp_of_root[r])].push_back(i);
-  }
-
-  // Global first-arrival time pins every shard's ATC clock to the value the
-  // single-scheduler run would use (a throwaway pump re-draws exactly the
-  // first interarrival of each substream).
-  core::SchedulerOptions shard_options = scheduler_options;
-  shard_options.telemetry = nullptr;  // per-decision events are serial-only
-  {
-    ArrivalPump probe_pump(dc.task_types, util::Rng(options.seed), horizon,
-                           nullptr, options.rate_trace);
-    double t0 = 0.0;
-    std::size_t first_type = 0;
-    if (probe_pump.peek(t0, first_type)) shard_options.start_time = t0;
-  }
-
-  struct ShardRun {
-    std::vector<PerTypeMetrics> per_type;
-    std::unique_ptr<core::DynamicScheduler> scheduler;
-    BatchStats batches;
-    std::size_t events = 0;
-    std::size_t max_pending = 0;
-  };
-  std::vector<ShardRun> runs(comps.size());
-
-  util::ThreadPool pool(threads);
-  pool.parallel_for(comps.size(), [&](std::size_t c) {
-    ShardRun& run = runs[c];
-    run.per_type.assign(t, {});
-    Engine engine;
-    ArrivalPump pump(dc.task_types, util::Rng(options.seed), horizon,
-                     &comps[c], options.rate_trace);
-    run.scheduler = std::make_unique<core::DynamicScheduler>(
-        dc, assignment, shard_options, comps[c]);
-    std::vector<double> core_free_time(dc.total_cores(), 0.0);
-    run_event_loop(
-        engine, pump, horizon, run.batches,
-        [&](std::size_t type, double now) {
-          PerTypeMetrics& m = run.per_type[type];
-          if (now >= warmup) ++m.arrived;
-          const auto decision = run.scheduler->route(type, now, core_free_time);
-          if (decision.assigned) {
-            const double start = std::max(now, core_free_time[decision.core]);
-            const double finish = start + decision.exec_seconds;
-            core_free_time[decision.core] = finish;
-            const double deadline = now + dc.task_types[type].relative_deadline;
-            if (now >= warmup) ++m.assigned;
-            if (finish <= horizon) {
-              engine.schedule_at(
-                  finish, [&m, &dc, type, finish, deadline, warmup] {
-                    if (finish < warmup) return;
-                    if (finish <= deadline + 1e-12) {
-                      ++m.completed_in_time;
-                      m.reward += dc.task_types[type].reward;
-                    } else {
-                      ++m.completed_late;
-                    }
-                  });
-            }
-          } else if (now >= warmup) {
-            ++m.dropped;
-          }
-        });
-    run.events = engine.executed();
-    run.max_pending = engine.max_pending();
-  });
-
-  // Deterministic merge: every aggregate is reduced in task-type order, so
-  // the result is bit-identical to the serial loop's regardless of thread
-  // count or component layout.
+// The end-of-run step every entry point shares: SimResult, the conservation
+// check and the end-of-run telemetry. `counter` counts the entry point's
+// invocations (sim.runs, sim.fault_runs, sim.replays).
+SimResult finalize(const SimOptions& options,
+                   std::vector<PerTypeMetrics> per_type, double tracking_err,
+                   double energy_kwh, const RunStats& stats,
+                   util::telemetry::Registry* reg, const char* counter) {
   SimResult result;
-  result.per_type.assign(t, {});
-  for (std::size_t i = 0; i < t; ++i) {
-    result.per_type[i] = runs[comp_of_type[i]].per_type[i];
-    result.per_type[i].desired_rate = 0.0;
-    for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      result.per_type[i].desired_rate += assignment.tc(i, k);
-    }
+  result.per_type = std::move(per_type);
+  result.measured_seconds = options.duration_seconds - options.warmup_seconds;
+  for (const PerTypeMetrics& m : result.per_type) {
+    // A killed admission is reclassified as a drop, never lost.
+    TAPO_CHECK(m.arrived == m.assigned + m.dropped);
+    result.total_reward += m.reward;
   }
-  result.measured_seconds = horizon - warmup;
-  for (const PerTypeMetrics& m : result.per_type) result.total_reward += m.reward;
   result.reward_rate = result.total_reward / result.measured_seconds;
-
-  double err_sum = 0.0;
-  double weight_sum = 0.0;
-  for (std::size_t i = 0; i < t; ++i) {
-    const core::DynamicScheduler& shard = *runs[comp_of_type[i]].scheduler;
-    for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      const double tc = assignment.tc(i, k);
-      if (tc <= 0.0) continue;
-      err_sum += std::fabs(shard.atc(i, k, horizon) - tc);
-      weight_sum += tc;
-    }
-  }
-  result.mean_tracking_error = weight_sum > 0.0 ? err_sum / weight_sum : 0.0;
-
-  result.energy_kwh =
-      assignment.total_power_kw() * result.measured_seconds / 3600.0;
+  result.mean_tracking_error = tracking_err;
+  result.energy_kwh = energy_kwh;
   result.reward_per_kwh =
       result.energy_kwh > 0.0 ? result.total_reward / result.energy_kwh : 0.0;
 
   if (reg) {
-    reg->count("sim.runs");
-    core::RoutingStats routing;
-    BatchStats batches;
-    std::size_t events = 0;
-    std::size_t max_pending = 0;
-    for (const ShardRun& run : runs) {
-      accumulate(routing, run.scheduler->stats());
-      batches.batches += run.batches.batches;
-      if (run.batches.max_batch > batches.max_batch) {
-        batches.max_batch = run.batches.max_batch;
-      }
-      events += run.events;
-      if (run.max_pending > max_pending) max_pending = run.max_pending;
-    }
-    reg->count("sim.events_processed", events);
-    reg->gauge_max("sim.queue_depth_high_water",
-                   static_cast<double>(max_pending));
+    reg->count(counter);
+    reg->count("sim.events_processed", stats.events);
     std::size_t arrived = 0, assigned = 0, dropped = 0, in_time = 0, late = 0;
     for (const PerTypeMetrics& m : result.per_type) {
       arrived += m.arrived;
@@ -357,9 +189,396 @@ SimResult simulate_sharded(const dc::DataCenter& dc,
     reg->gauge_set("sim.reward_rate", result.reward_rate);
     reg->gauge_set("sim.drop_fraction", result.drop_fraction());
     reg->gauge_set("sim.energy_kwh", result.energy_kwh);
-    record_routing_stats(reg, routing, batches);
+    reg->count("scheduler.routes_indexed", stats.routing.indexed_routes);
+    reg->count("scheduler.routes_scan", stats.routing.scan_routes);
+    reg->count("scheduler.index_pops", stats.routing.index_pops);
+    reg->count("scheduler.index_deferred", stats.routing.index_deferred);
+    reg->count("scheduler.index_stale_pops", stats.routing.index_stale_pops);
+    reg->count("sim.arrival_batches", stats.batches);
+    reg->gauge_max("sim.max_batch_size", static_cast<double>(stats.max_batch));
   }
   return result;
+}
+
+// An admitted task on its core's FIFO. Cores run in order and a core's free
+// time is set at admission, so `finish` is fixed once the task is queued.
+struct Admitted {
+  std::size_t type = 0;
+  double deadline = 0.0;
+  double finish = 0.0;
+  bool counted = false;  // admission counted in the measured window
+};
+
+// A core's admitted tasks in finish order; those before `head` are retired.
+// Their storage is reclaimed once they fill half of it (O(1) moves a task).
+struct CoreQueue {
+  std::vector<Admitted> tasks;
+  std::size_t head = 0;
+};
+
+// One run of the paper's second-step loop (or one shard of it). The calendar
+// carries only samplers, faults and re-plan events. An admitted task waits on
+// its core's FIFO until the clock passes its finish time and is booked then:
+// at the next admission to that core, a sampler tick, a node failure or the
+// end of the run. Booking adds a per-type constant, so the retirement order
+// cannot change a bit of the result.
+class Run {
+ public:
+  // `types` restricts the scheduler to one shard's task types.
+  Run(const dc::DataCenter& dc, const core::Assignment& plan,
+      const SimOptions& options, core::SchedulerOptions scheduler_options,
+      const std::vector<std::size_t>* types = nullptr)
+      : dc_(dc),
+        horizon_(options.duration_seconds),
+        warmup_(options.warmup_seconds),
+        scheduler_options_(std::move(scheduler_options)),
+        types_(types),
+        core_free_time_(dc.total_cores(), 0.0),
+        fifo_(dc.total_cores()) {
+    per_type_.assign(dc.num_task_types(), {});
+    for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
+      for (std::size_t k = 0; k < dc.total_cores(); ++k) {
+        per_type_[i].desired_rate += plan.tc(i, k);
+      }
+    }
+    install(plan);
+  }
+  // Calendar callbacks hold `this`.
+  Run(const Run&) = delete;
+  Run& operator=(const Run&) = delete;
+
+  Engine& engine() { return engine_; }
+  const core::DynamicScheduler& scheduler() const { return *scheduler_; }
+  const std::vector<PerTypeMetrics>& per_type() const { return per_type_; }
+  double energy_kwh() const { return energy_kwh_; }
+
+  double tracking_error(double now) const {
+    return sim::tracking_error(dc_, *plan_, [&](std::size_t i, std::size_t k) {
+      return scheduler_->atc(i, k, now);
+    });
+  }
+
+  // Makes `plan` (which must outlive the run) the one in force from `now`.
+  // The scheduler is rebuilt, resetting its ATC state: realized-rate history
+  // against a retired plan is meaningless for the new rate matrix.
+  void adopt(const core::Assignment& plan, double now) {
+    integrate_to(now);
+    retired_.add({scheduler_->stats(), 0, 0, 0});
+    install(plan);
+  }
+
+  // Routes one arrival at `now` and counts its admission.
+  void admit(std::size_t type, double now) {
+    PerTypeMetrics& m = per_type_[type];
+    const bool counted = now >= warmup_;
+    if (counted) ++m.arrived;
+    if (place(type, now, now + dc_.task_types[type].relative_deadline,
+              counted)) {
+      if (counted) ++m.assigned;
+    } else if (counted) {
+      ++m.dropped;
+    }
+  }
+
+  // Routes a task at `now`; returns whether it was queued on a core.
+  bool place(std::size_t type, double now, double deadline, bool counted) {
+    const auto decision = scheduler_->route(type, now, core_free_time_);
+    if (!decision.assigned) return false;
+    const double start = std::max(now, core_free_time_[decision.core]);
+    const double finish = start + decision.exec_seconds;
+    core_free_time_[decision.core] = finish;
+    retire(decision.core, now);
+    fifo_[decision.core].tasks.push_back({type, deadline, finish, counted});
+    ++in_flight_;
+    return true;
+  }
+
+  // A node failure at `now`: returns (for the caller to drop or requeue) the
+  // tasks on cores [begin, end) not finished before `now` — faults precede
+  // completions at the same instant — and leaves those cores idle.
+  std::vector<Admitted> kill(std::size_t begin, std::size_t end, double now) {
+    std::vector<Admitted> killed;
+    for (std::size_t k = begin; k < end; ++k) {
+      retire(k, now);
+      CoreQueue& queue = fifo_[k];
+      killed.insert(killed.end(), queue.tasks.begin() + queue.head,
+                    queue.tasks.end());
+      in_flight_ -= queue.tasks.size() - queue.head;
+      queue = {};
+      core_free_time_[k] = now;
+    }
+    return killed;
+  }
+
+  // Reclassifies a killed task's counted admission as a drop.
+  void unadmit(const Admitted& task) {
+    if (!task.counted) return;
+    --per_type_[task.type].assigned;
+    ++per_type_[task.type].dropped;
+  }
+
+  // Samplers at evenly spaced simulated times. Retiring is order-independent
+  // and all else is read-only, so SimResult is the same with or without.
+  void sample(util::telemetry::Registry* reg, std::size_t samples) {
+    if (!reg) return;
+    for (std::size_t s = 0; s < samples; ++s) {
+      const double t = horizon_ * static_cast<double>(s + 1) /
+                       static_cast<double>(samples);
+      engine_.schedule_at(t, [this, reg, t] {
+        retire_all(t);
+        reg->sample("scheduler.tracking_error", t, tracking_error(t));
+        reg->sample("sim.queue_depth", t, static_cast<double>(in_flight_));
+        reg->sample("scheduler.backlog", t,
+                    backlog_depth(dc_, core_free_time_, t));
+        reg->sample("sim.active_power_kw", t, power_kw_);
+      });
+    }
+  }
+
+  // Runs to the horizon: every arrival strictly before the next calendar
+  // event routes in one batch; calendar events win exact-time ties.
+  void drive(ArrivalPump& pump) {
+    double ta = 0.0;
+    std::size_t type = 0;
+    while (true) {
+      const bool have_arrival = pump.peek(ta, type);
+      const double te = engine_.next_time();
+      if (have_arrival && ta < te) {
+        std::size_t batch = 0;
+        do {
+          admit(type, ta);
+          pump.advance(type, ta);
+          ++batch;
+        } while (pump.peek(ta, type) && ta < te);
+        ++batches_;
+        max_batch_ = std::max(max_batch_, batch);
+      } else if (!engine_.run_one(horizon_)) {
+        break;
+      }
+    }
+  }
+
+  // Books what is still queued and closes the energy integral.
+  void close() {
+    retire_all(kInf);
+    integrate_to(horizon_);
+  }
+
+  RunStats stats() const {
+    RunStats s = retired_;
+    s.add({scheduler_->stats(), batches_, max_batch_, engine_.executed()});
+    return s;
+  }
+
+  // close() plus the shared end-of-run step.
+  SimResult finish(const SimOptions& options, util::telemetry::Registry* reg,
+                   const char* counter) {
+    close();
+    return finalize(options, per_type_, tracking_error(horizon_), energy_kwh_,
+                    stats(), reg, counter);
+  }
+
+ private:
+  void install(const core::Assignment& plan) {
+    plan_ = &plan;
+    power_kw_ = plan.total_power_kw();
+    if (types_) {
+      scheduler_.emplace(dc_, plan, scheduler_options_, *types_);
+    } else {
+      scheduler_.emplace(dc_, plan, scheduler_options_);
+    }
+  }
+
+  // Books the tasks on core k that finished before `t`.
+  void retire(std::size_t k, double t) {
+    CoreQueue& queue = fifo_[k];
+    while (queue.head < queue.tasks.size() &&
+           queue.tasks[queue.head].finish < t) {
+      book(queue.tasks[queue.head++]);
+      --in_flight_;
+    }
+    if (2 * queue.head >= queue.tasks.size()) {
+      queue.tasks.erase(queue.tasks.begin(), queue.tasks.begin() + queue.head);
+      queue.head = 0;
+    }
+  }
+
+  void retire_all(double t) {
+    for (std::size_t k = 0; k < fifo_.size(); ++k) retire(k, t);
+  }
+
+  // Reward is booked at completion, not admission: booking at admission
+  // would credit queued work that never executes inside the measured window,
+  // letting deep-queueing policies appear to beat the steady-state LP bound
+  // (deadlines of slow task types span minutes).
+  void book(const Admitted& task) {
+    if (task.finish < warmup_ || task.finish > horizon_) return;
+    PerTypeMetrics& m = per_type_[task.type];
+    if (task.finish <= task.deadline + 1e-12) {
+      ++m.completed_in_time;
+      m.reward += dc_.task_types[task.type].reward;
+    } else {
+      ++m.completed_late;
+    }
+  }
+
+  // Piecewise energy over the plans in force, clipped to the measured window.
+  void integrate_to(double t) {
+    const double a = std::max(power_since_, warmup_);
+    const double b = std::min(t, horizon_);
+    if (b > a) energy_kwh_ += power_kw_ * (b - a) / 3600.0;
+    power_since_ = t;
+  }
+
+  const dc::DataCenter& dc_;
+  const double horizon_;
+  const double warmup_;
+  const core::SchedulerOptions scheduler_options_;
+  const std::vector<std::size_t>* const types_;
+
+  Engine engine_;
+  const core::Assignment* plan_ = nullptr;
+  std::optional<core::DynamicScheduler> scheduler_;
+  RunStats retired_;  // routing stats of schedulers replaced by adopt()
+  std::size_t batches_ = 0;
+  std::size_t max_batch_ = 0;
+
+  std::vector<PerTypeMetrics> per_type_;
+  std::vector<double> core_free_time_;
+  std::vector<CoreQueue> fifo_;
+  std::size_t in_flight_ = 0;  // admitted, not yet retired
+
+  double power_kw_ = 0.0;
+  double power_since_ = 0.0;
+  double energy_kwh_ = 0.0;
+};
+
+// Checks every entry point makes, so none aborts on operator input.
+util::Status check_run(const dc::DataCenter& dc,
+                       const core::Assignment& assignment,
+                       const SimOptions& options) {
+  if (util::Status s = options.validate(); !s.ok()) return s;
+  if (!assignment.feasible) {
+    return util::Status::FailedPrecondition(
+        "cannot simulate an infeasible assignment");
+  }
+  const RateTrace* trace = options.rate_trace;
+  if (trace && trace->num_task_types() != dc.num_task_types()) {
+    return util::Status::InvalidArgument(
+        "rate trace covers " + std::to_string(trace->num_task_types()) +
+        " task types, data center has " + std::to_string(dc.num_task_types()));
+  }
+  return util::Status::Ok();
+}
+
+SimResult failed(util::Status status) {
+  SimResult result;
+  result.status = std::move(status);
+  return result;
+}
+
+// The scheduler reports to the run's registry unless given its own.
+core::SchedulerOptions scheduler_options_for(const SimOptions& options) {
+  core::SchedulerOptions scheduler_options = options.scheduler;
+  if (!scheduler_options.telemetry) {
+    scheduler_options.telemetry = options.telemetry;
+  }
+  return scheduler_options;
+}
+
+// Component-sharded simulation (docs/SCHEDULER.md §4). Task types that share
+// a candidate core must co-shard — union-find over the candidate structure
+// finds the connected components, each of which runs as a fully independent
+// sub-simulation. Exactness rests on three facts: per-type arrival streams
+// are independent RNG substreams, a component's routing state (ATC counts,
+// index heaps, core backlog) is touched by no other component, and the ATC
+// clock is pinned to the global first-arrival time in every shard.
+SimResult simulate_sharded(const dc::DataCenter& dc,
+                           const core::Assignment& assignment,
+                           const SimOptions& options,
+                           const core::SchedulerOptions& scheduler_options,
+                           std::size_t threads) {
+  const double horizon = options.duration_seconds;
+  const std::size_t t = dc.num_task_types();
+
+  // Candidate structure (policy-aware: the ablation policies share every
+  // active core, so they collapse into one component).
+  core::SchedulerOptions probe_options = scheduler_options;
+  probe_options.telemetry = nullptr;
+  const core::DynamicScheduler probe(dc, assignment, probe_options);
+
+  std::vector<std::size_t> parent(t);
+  std::iota(parent.begin(), parent.end(), 0);
+  const auto find = [&](std::size_t i) {
+    while (parent[i] != i) {
+      parent[i] = parent[parent[i]];
+      i = parent[i];
+    }
+    return i;
+  };
+  std::vector<std::ptrdiff_t> core_owner(dc.total_cores(), -1);
+  for (std::size_t i = 0; i < t; ++i) {
+    for (std::size_t k : probe.candidates(i)) {
+      if (core_owner[k] < 0) {
+        core_owner[k] = static_cast<std::ptrdiff_t>(i);
+      } else {
+        const std::size_t a = find(i);
+        const std::size_t b = find(static_cast<std::size_t>(core_owner[k]));
+        if (a != b) parent[std::max(a, b)] = std::min(a, b);
+      }
+    }
+  }
+  // A component's root is its lowest type id, so it is met first.
+  std::vector<std::vector<std::size_t>> comps;
+  std::vector<std::size_t> comp_of_type(t, 0);
+  for (std::size_t i = 0; i < t; ++i) {
+    const std::size_t r = find(i);
+    if (r == i) comps.emplace_back();
+    comp_of_type[i] = r == i ? comps.size() - 1 : comp_of_type[r];
+    comps[comp_of_type[i]].push_back(i);
+  }
+
+  // Global first-arrival time pins every shard's ATC clock to the value the
+  // single-scheduler run would use (a throwaway pump re-draws exactly the
+  // first interarrival of each substream).
+  core::SchedulerOptions shard_options = scheduler_options;
+  shard_options.telemetry = nullptr;  // per-decision events are serial-only
+  {
+    ArrivalPump probe_pump(dc.task_types, util::Rng(options.seed), horizon,
+                           nullptr, options.rate_trace);
+    double t0 = 0.0;
+    std::size_t first_type = 0;
+    if (probe_pump.peek(t0, first_type)) shard_options.start_time = t0;
+  }
+
+  std::vector<std::unique_ptr<Run>> runs(comps.size());
+  util::ThreadPool pool(threads);
+  pool.parallel_for(comps.size(), [&](std::size_t c) {
+    runs[c] = std::make_unique<Run>(dc, assignment, options, shard_options,
+                                    &comps[c]);
+    ArrivalPump pump(dc.task_types, util::Rng(options.seed), horizon,
+                     &comps[c], options.rate_trace);
+    runs[c]->drive(pump);
+    runs[c]->close();
+  });
+
+  // Deterministic merge: every aggregate is reduced in task-type order, so
+  // the result is bit-identical to the serial loop's regardless of thread
+  // count or component layout.
+  std::vector<PerTypeMetrics> per_type(t);
+  for (std::size_t i = 0; i < t; ++i) {
+    per_type[i] = runs[comp_of_type[i]]->per_type()[i];
+  }
+  RunStats stats;
+  for (const auto& run : runs) stats.add(run->stats());
+  const double err =
+      tracking_error(dc, assignment, [&](std::size_t i, std::size_t k) {
+        return runs[comp_of_type[i]]->scheduler().atc(i, k, horizon);
+      });
+  // Every shard integrates the same plan over the same window.
+  const double energy = runs.empty() ? 0.0 : runs.front()->energy_kwh();
+  return finalize(options, std::move(per_type), err, energy, stats,
+                  options.telemetry, "sim.runs");
 }
 
 }  // namespace
@@ -390,22 +609,6 @@ util::Status SimOptions::validate() const {
   return util::Status::Ok();
 }
 
-namespace {
-
-// The trace's type count can only be checked against a concrete data
-// center; both simulate entry points run this after options.validate().
-util::Status check_trace_types(const dc::DataCenter& dc,
-                               const RateTrace* trace) {
-  if (trace && trace->num_task_types() != dc.num_task_types()) {
-    return util::Status::InvalidArgument(
-        "rate trace covers " + std::to_string(trace->num_task_types()) +
-        " task types, data center has " + std::to_string(dc.num_task_types()));
-  }
-  return util::Status::Ok();
-}
-
-}  // namespace
-
 double SimResult::drop_fraction() const {
   std::size_t arrived = 0, dropped = 0;
   for (const PerTypeMetrics& m : per_type) {
@@ -417,146 +620,50 @@ double SimResult::drop_fraction() const {
 
 SimResult simulate(const dc::DataCenter& dc, const core::Assignment& assignment,
                    const SimOptions& options) {
-  if (util::Status s = options.validate(); !s.ok()) {
-    SimResult result;
-    result.status = std::move(s);
-    return result;
+  if (util::Status s = check_run(dc, assignment, options); !s.ok()) {
+    return failed(std::move(s));
   }
-  if (!assignment.feasible) {
-    SimResult result;
-    result.status = util::Status::FailedPrecondition(
-        "cannot simulate an infeasible assignment");
-    return result;
-  }
-  if (util::Status s = check_trace_types(dc, options.rate_trace); !s.ok()) {
-    SimResult result;
-    result.status = std::move(s);
-    return result;
-  }
-
   util::telemetry::Registry* const reg = options.telemetry;
   const util::telemetry::ScopedTimer run_timer(reg, "sim.run");
-
-  core::SchedulerOptions scheduler_options = options.scheduler;
-  if (!scheduler_options.telemetry) scheduler_options.telemetry = reg;
 
   const std::size_t threads = options.threads == 0
                                   ? util::ThreadPool::hardware_threads()
                                   : options.threads;
   if (threads > 1) {
-    return simulate_sharded(dc, assignment, options, scheduler_options, reg,
-                            threads);
+    return simulate_sharded(dc, assignment, options,
+                            scheduler_options_for(options), threads);
   }
-
-  Engine engine;
+  Run run(dc, assignment, options, scheduler_options_for(options));
+  run.sample(reg, options.telemetry_samples);
   ArrivalPump pump(dc.task_types, util::Rng(options.seed),
                    options.duration_seconds, nullptr, options.rate_trace);
-  core::DynamicScheduler scheduler(dc, assignment, scheduler_options);
+  run.drive(pump);
+  return run.finish(options, reg, "sim.runs");
+}
 
-  std::vector<double> core_free_time(dc.total_cores(), 0.0);
-  SimResult result;
-  result.per_type.assign(dc.num_task_types(), {});
-  for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
-    for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      result.per_type[i].desired_rate += assignment.tc(i, k);
+SimResult simulate_trace(const dc::DataCenter& dc,
+                         const core::Assignment& assignment, const Trace& trace,
+                         const SimOptions& options) {
+  if (util::Status s = check_run(dc, assignment, options); !s.ok()) {
+    return failed(std::move(s));
+  }
+  for (const TraceEvent& event : trace) {
+    if (event.time > options.duration_seconds) break;  // never replayed
+    if (event.task_type >= dc.num_task_types()) {
+      return failed(util::Status::InvalidArgument(
+          "trace event at t=" + std::to_string(event.time) + " has task type " +
+          std::to_string(event.task_type) + ", data center has " +
+          std::to_string(dc.num_task_types())));
     }
   }
+  util::telemetry::Registry* const reg = options.telemetry;
+  const util::telemetry::ScopedTimer run_timer(reg, "sim.replay");
 
-  const double horizon = options.duration_seconds;
-  const double warmup = options.warmup_seconds;
-
-  // Telemetry samplers: pure observers at evenly spaced simulated times.
-  // They read scheduler/engine state but mutate nothing, so enabling them
-  // cannot change the simulation outcome (their own events do show up in
-  // the sim.events_processed count — documented in docs/OBSERVABILITY.md).
-  if (reg && options.telemetry_samples > 0) {
-    for (std::size_t s = 0; s < options.telemetry_samples; ++s) {
-      const double t = horizon * static_cast<double>(s + 1) /
-                       static_cast<double>(options.telemetry_samples);
-      engine.schedule_at(t, [&, t] {
-        reg->sample("scheduler.tracking_error", t,
-                    tracking_error_at(dc, assignment, scheduler, t));
-        reg->sample("sim.queue_depth", t,
-                    static_cast<double>(engine.pending()));
-        reg->sample("scheduler.backlog", t, backlog_depth(dc, core_free_time, t));
-      });
-    }
-  }
-
-  // Batched admission: every arrival that falls strictly before the next
-  // calendar event routes in one tight loop. Reward is booked at the
-  // *completion* event — booking at admission would credit queued work that
-  // never executes inside the measured window, letting deep-queueing
-  // policies appear to beat the steady-state LP bound (deadlines of slow
-  // task types span minutes).
-  BatchStats batches;
-  run_event_loop(
-      engine, pump, horizon, batches, [&](std::size_t type, double now) {
-        PerTypeMetrics& m = result.per_type[type];
-        if (now >= warmup) ++m.arrived;
-        const auto decision = scheduler.route(type, now, core_free_time);
-        if (decision.assigned) {
-          const double start = std::max(now, core_free_time[decision.core]);
-          const double finish = start + decision.exec_seconds;
-          core_free_time[decision.core] = finish;
-          const double deadline = now + dc.task_types[type].relative_deadline;
-          if (now >= warmup) ++m.assigned;
-          if (finish <= horizon) {
-            engine.schedule_at(finish, [&m, &dc, type, finish, deadline, warmup] {
-              if (finish < warmup) return;  // completed inside the warm-up
-              if (finish <= deadline + 1e-12) {
-                ++m.completed_in_time;
-                m.reward += dc.task_types[type].reward;
-              } else {
-                ++m.completed_late;
-              }
-            });
-          }
-        } else if (now >= warmup) {
-          ++m.dropped;
-        }
-      });
-
-  result.measured_seconds = horizon - warmup;
-  for (const PerTypeMetrics& m : result.per_type) result.total_reward += m.reward;
-  result.reward_rate = result.total_reward / result.measured_seconds;
-
-  // Tracking error of the realized rates against the desired TC matrix,
-  // weighted by TC so that starved low-rate pairs do not dominate.
-  result.mean_tracking_error =
-      tracking_error_at(dc, assignment, scheduler, horizon);
-
-  result.energy_kwh =
-      assignment.total_power_kw() * result.measured_seconds / 3600.0;
-  result.reward_per_kwh =
-      result.energy_kwh > 0.0 ? result.total_reward / result.energy_kwh : 0.0;
-
-  if (reg) {
-    reg->count("sim.runs");
-    reg->count("sim.events_processed", engine.executed());
-    reg->gauge_max("sim.queue_depth_high_water",
-                   static_cast<double>(engine.max_pending()));
-    std::size_t arrived = 0, assigned = 0, dropped = 0, in_time = 0, late = 0;
-    for (const PerTypeMetrics& m : result.per_type) {
-      arrived += m.arrived;
-      assigned += m.assigned;
-      dropped += m.dropped;
-      in_time += m.completed_in_time;
-      late += m.completed_late;
-    }
-    reg->count("sim.arrivals", arrived);
-    reg->count("scheduler.assigned", assigned);
-    reg->count("scheduler.dropped", dropped);
-    reg->count("scheduler.completed_in_time", in_time);
-    reg->count("scheduler.deadline_misses", late);
-    reg->gauge_set("scheduler.final_tracking_error",
-                   result.mean_tracking_error);
-    reg->gauge_set("sim.reward_rate", result.reward_rate);
-    reg->gauge_set("sim.drop_fraction", result.drop_fraction());
-    reg->gauge_set("sim.energy_kwh", result.energy_kwh);
-    record_routing_stats(reg, scheduler.stats(), batches);
-  }
-  return result;
+  Run run(dc, assignment, options, scheduler_options_for(options));
+  run.sample(reg, options.telemetry_samples);
+  ArrivalPump pump(trace, options.duration_seconds);
+  run.drive(pump);
+  return run.finish(options, reg, "sim.replays");
 }
 
 FaultSimResult simulate_with_faults(dc::DataCenter& dc,
@@ -565,21 +672,12 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
                                     const FaultSchedule& schedule,
                                     const FaultSimOptions& options) {
   FaultSimResult out;
-  if (util::Status s = options.sim.validate(); !s.ok()) {
+  if (util::Status s = check_run(dc, initial, options.sim); !s.ok()) {
     out.status = std::move(s);
-    return out;
-  }
-  if (!initial.feasible) {
-    out.status = util::Status::FailedPrecondition(
-        "cannot simulate an infeasible assignment");
     return out;
   }
   if (util::Status s = schedule.validate(dc); !s.ok()) {
     out.status = s.with_context("fault schedule");
-    return out;
-  }
-  if (util::Status s = check_trace_types(dc, options.sim.rate_trace); !s.ok()) {
-    out.status = std::move(s);
     return out;
   }
   if (options.replan) {
@@ -599,82 +697,24 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
   const std::vector<double> saved_crac_min = dc.crac_min_outlet_c;
 
   const double horizon = options.sim.duration_seconds;
-  const double warmup = options.sim.warmup_seconds;
   const double tcrac_min = options.recovery.assign.stage1.tcrac_min_c;
   const double tcrac_max = options.recovery.assign.stage1.tcrac_max_c;
 
-  Engine engine;
-  ArrivalPump pump(dc.task_types, util::Rng(options.sim.seed), horizon,
-                   nullptr, options.sim.rate_trace);
-  core::SchedulerOptions scheduler_options = options.sim.scheduler;
-  if (!scheduler_options.telemetry) scheduler_options.telemetry = reg;
-
-  // Plan swaps keep every adopted Assignment alive in a deque (the scheduler
-  // holds a reference to its plan) and rebuild the scheduler, which resets
-  // its ATC tracking state — intentional: realized-rate history against a
-  // retired plan is meaningless for the new rate matrix. Routing-path stats
-  // of retired schedulers accumulate so the end-of-run scheduler.* counters
-  // cover the whole run.
+  // Every adopted Assignment stays alive in a deque (the scheduler holds a
+  // reference to its plan); plans.back() is the one in force.
   std::deque<core::Assignment> plans;
   plans.push_back(initial);
-  auto scheduler = std::make_unique<core::DynamicScheduler>(
-      dc, plans.back(), scheduler_options);
-  core::RoutingStats retired_stats;
-
-  SimResult& result = out.sim;
-  result.per_type.assign(dc.num_task_types(), {});
-  for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
-    for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      result.per_type[i].desired_rate += initial.tc(i, k);
-    }
-  }
-
-  std::vector<double> core_free_time(dc.total_cores(), 0.0);
-
-  // Admitted tasks live in stable cells so a node failure can cancel their
-  // completion events: the event fires, sees the flag and does nothing.
-  struct Cell {
-    std::size_t type = 0;
-    double deadline = 0.0;
-    double finish = 0.0;
-    // Admission counted inside the measured window; a kill reclassifies such
-    // an admission as a drop so arrived == assigned + dropped always holds.
-    bool counted = false;
-    bool cancelled = false;
-    bool done = false;
-  };
-  std::deque<Cell> cells;
-  std::vector<std::vector<Cell*>> core_queue(dc.total_cores());
-
-  // Piecewise energy integration over the active plans, clipped to the
-  // measured window.
-  double active_power_kw = initial.total_power_kw();
-  double energy_kwh = 0.0;
-  double last_power_time = 0.0;
-  const auto integrate_to = [&](double t) {
-    const double a = std::max(last_power_time, warmup);
-    const double b = std::min(t, horizon);
-    if (b > a) energy_kwh += active_power_kw * (b - a) / 3600.0;
-    last_power_time = t;
+  Run run(dc, plans.back(), options.sim, scheduler_options_for(options.sim));
+  Engine& engine = run.engine();
+  const auto adopt_plan = [&](core::Assignment plan, double now) {
+    plans.push_back(std::move(plan));
+    run.adopt(plans.back(), now);
   };
 
   // A newer fault — or a newer horizon step — supersedes any pending re-plan
   // adoption: adoption events capture the generation at scheduling time and
   // fire only if it is still current.
   std::uint64_t plan_generation = 0;
-
-  // Swaps the active plan: integrates energy up to `now`, retires the
-  // scheduler's routing stats and rebuilds it on the new plan (ATC tracking
-  // state resets — realized-rate history against a retired plan is
-  // meaningless for the new rate matrix).
-  const auto adopt_plan = [&](core::Assignment plan, double now) {
-    integrate_to(now);
-    plans.push_back(std::move(plan));
-    active_power_kw = plans.back().total_power_kw();
-    accumulate(retired_stats, scheduler->stats());
-    scheduler = std::make_unique<core::DynamicScheduler>(dc, plans.back(),
-                                                         scheduler_options);
-  };
 
   // --- Receding-horizon re-planner state (FaultSimOptions::replan) --------
   std::unique_ptr<core::RollingPlanner> planner;
@@ -700,33 +740,6 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
   double next_attempt_allowed = 0.0;  // bounded-backoff gate
   double recovery_pending_until = -1.0;  // fault re-plan adoption in flight
   double degraded_since = -1.0;       // entering time of the degraded mode
-
-  const auto try_assign = [&](std::size_t type, double now, double deadline,
-                              bool counted) -> bool {
-    const auto decision = scheduler->route(type, now, core_free_time);
-    if (!decision.assigned) return false;
-    const double start = std::max(now, core_free_time[decision.core]);
-    const double finish = start + decision.exec_seconds;
-    core_free_time[decision.core] = finish;
-    cells.push_back(Cell{type, deadline, finish, counted, false, false});
-    Cell* const cell = &cells.back();
-    core_queue[decision.core].push_back(cell);
-    if (finish <= horizon) {
-      engine.schedule_at(finish, [&result, &dc, cell, warmup] {
-        if (cell->cancelled) return;
-        cell->done = true;
-        if (cell->finish < warmup) return;
-        PerTypeMetrics& m = result.per_type[cell->type];
-        if (cell->finish <= cell->deadline + 1e-12) {
-          ++m.completed_in_time;
-          m.reward += dc.task_types[cell->type].reward;
-        } else {
-          ++m.completed_late;
-        }
-      });
-    }
-    return true;
-  };
 
   const auto on_fault = [&](const FaultEvent& ev) {
     const double now = engine.now();
@@ -764,30 +777,15 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
     // admission fell inside the measured window has that admission
     // reclassified as a drop (unless it is successfully requeued), so the
     // arrived == assigned + dropped invariant survives faults.
-    struct Orphan {
-      std::size_t type;
-      double deadline;
-      bool counted;
-    };
-    std::vector<Orphan> orphans;
+    std::vector<Admitted> orphans;
     if (ev.kind == FaultKind::kNodeFail) {
       const std::size_t begin = dc.core_offset(ev.target);
-      const std::size_t n = dc.node_type(ev.target).cores_per_node();
-      for (std::size_t k = begin; k < begin + n; ++k) {
-        for (Cell* cell : core_queue[k]) {
-          if (cell->done || cell->cancelled) continue;
-          cell->cancelled = true;
-          ++record.tasks_killed;
-          if (options.in_flight == InFlightPolicy::kRequeue) {
-            orphans.push_back({cell->type, cell->deadline, cell->counted});
-          } else if (cell->counted) {
-            PerTypeMetrics& m = result.per_type[cell->type];
-            --m.assigned;  // kDrop: the admission becomes a drop
-            ++m.dropped;
-          }
-        }
-        core_queue[k].clear();
-        core_free_time[k] = now;
+      orphans = run.kill(
+          begin, begin + dc.node_type(ev.target).cores_per_node(), now);
+      record.tasks_killed = orphans.size();
+      if (options.in_flight == InFlightPolicy::kDrop) {
+        for (const Admitted& task : orphans) run.unadmit(task);
+        orphans.clear();
       }
     }
 
@@ -811,13 +809,11 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
 
     // Orphans re-route through the throttle plan, original deadlines kept
     // (they may well complete late); unplaceable ones count as drops.
-    for (const auto& [type, deadline, counted] : orphans) {
-      if (try_assign(type, now, deadline, counted)) {
+    for (const Admitted& task : orphans) {
+      if (run.place(task.type, now, task.deadline, task.counted)) {
         ++record.tasks_requeued;
-      } else if (counted) {
-        PerTypeMetrics& m = result.per_type[type];
-        --m.assigned;
-        ++m.dropped;
+      } else {
+        run.unadmit(task);
       }
     }
     if (reg) {
@@ -849,6 +845,8 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
     out.faults.push_back(std::move(record));
   };
 
+  // Faults go on the calendar first, so at any shared instant they run
+  // before the re-plan checks and samplers scheduled below.
   for (const FaultEvent& ev : schedule.events) {
     if (ev.time_s > horizon) continue;  // never fires; not recorded
     engine.schedule_at(ev.time_s, [&on_fault, ev] { on_fault(ev); });
@@ -872,7 +870,7 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
         if (now - last_plan_time >= replan_options.cadence_s - 1e-9) {
           cadence_fire = true;
         } else if (replan_options.tracking_error_threshold > 0.0 &&
-                   tracking_error_at(dc, plans.back(), *scheduler, now) >
+                   run.tracking_error(now) >
                        replan_options.tracking_error_threshold) {
           tracking_fire = true;
         }
@@ -929,69 +927,21 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
     }
   }
 
-  if (reg && options.sim.telemetry_samples > 0) {
-    for (std::size_t s = 0; s < options.sim.telemetry_samples; ++s) {
-      const double t = horizon * static_cast<double>(s + 1) /
-                       static_cast<double>(options.sim.telemetry_samples);
-      engine.schedule_at(t, [&, t] {
-        reg->sample("scheduler.tracking_error", t,
-                    tracking_error_at(dc, plans.back(), *scheduler, t));
-        reg->sample("sim.queue_depth", t,
-                    static_cast<double>(engine.pending()));
-        reg->sample("scheduler.backlog", t, backlog_depth(dc, core_free_time, t));
-        reg->sample("sim.active_power_kw", t, active_power_kw);
-      });
-    }
-  }
-
-  BatchStats batches;
-  run_event_loop(engine, pump, horizon, batches,
-                 [&](std::size_t type, double now) {
-                   PerTypeMetrics& m = result.per_type[type];
-                   if (now >= warmup) ++m.arrived;
-                   const double deadline =
-                       now + dc.task_types[type].relative_deadline;
-                   if (try_assign(type, now, deadline, now >= warmup)) {
-                     if (now >= warmup) ++m.assigned;
-                   } else if (now >= warmup) {
-                     ++m.dropped;
-                   }
-                 });
-  integrate_to(horizon);
-
-  result.measured_seconds = horizon - warmup;
-  for (const PerTypeMetrics& m : result.per_type) result.total_reward += m.reward;
-  result.reward_rate = result.total_reward / result.measured_seconds;
-  result.mean_tracking_error =
-      tracking_error_at(dc, plans.back(), *scheduler, horizon);
-  result.energy_kwh = energy_kwh;
-  result.reward_per_kwh =
-      result.energy_kwh > 0.0 ? result.total_reward / result.energy_kwh : 0.0;
+  run.sample(reg, options.sim.telemetry_samples);
+  ArrivalPump pump(dc.task_types, util::Rng(options.sim.seed), horizon,
+                   nullptr, trace);
+  run.drive(pump);
 
   if (degraded_since >= 0.0) {
     out.horizon_degraded_time_s += horizon - degraded_since;
-    degraded_since = -1.0;
   }
-
   if (reg) {
-    reg->count("sim.fault_runs");
-    reg->count("sim.events_processed", engine.executed());
     reg->count("recovery.replans_adopted_total", out.replans_adopted);
     if (planner) {
       reg->gauge_set("replan.degraded_time_s", out.horizon_degraded_time_s);
     }
-    std::size_t arrived = 0, dropped = 0;
-    for (const PerTypeMetrics& m : result.per_type) {
-      arrived += m.arrived;
-      dropped += m.dropped;
-    }
-    reg->count("sim.arrivals", arrived);
-    reg->count("scheduler.dropped", dropped);
-    reg->gauge_set("sim.reward_rate", result.reward_rate);
-    reg->gauge_set("sim.energy_kwh", result.energy_kwh);
-    accumulate(retired_stats, scheduler->stats());
-    record_routing_stats(reg, retired_stats, batches);
   }
+  out.sim = run.finish(options.sim, reg, "sim.fault_runs");
 
   dc.p_const_kw = saved_pconst;
   dc.node_failed_mask = saved_failed;

@@ -8,11 +8,12 @@
 // reward rate is the measurable counterpart of the first step's predicted
 // steady-state reward rate.
 //
-// Arrivals are admitted in batches: instead of one calendar event per task,
-// a per-type next-arrival calendar drains every arrival that falls strictly
-// before the next calendar event (completion, sampler, fault) in one tight
-// loop, so the per-task cost is a routing decision plus an O(task types)
-// min-scan — no priority-queue traffic, no per-arrival callback allocation.
+// Arrivals are admitted in batches: a per-type next-arrival calendar drains
+// every arrival strictly before the next calendar event (sampler, fault,
+// re-plan) in one tight loop. Completions never touch the calendar: a task's
+// finish time is fixed at admission, so it waits on its core's FIFO and is
+// booked once the clock passes it. simulate, its shards, simulate_with_faults
+// and simulate_trace (sim/trace.h) share this one admission path.
 // SimOptions::threads additionally shards the whole simulation by connected
 // components of the candidate structure. docs/SCHEDULER.md describes both
 // and the determinism contract they keep.
@@ -57,8 +58,8 @@ struct SimOptions {
   // observe cross-shard state mid-run without synchronizing).
   std::size_t threads = 1;
   // Optional metrics sink (sim.* / scheduler.* in docs/OBSERVABILITY.md):
-  // end-of-run counters (events processed, queue high-water, drops, deadline
-  // misses) plus ATC/TC tracking-error and queue-depth series sampled at
+  // end-of-run counters (calendar events processed, drops, deadline misses)
+  // plus ATC/TC tracking-error and queue-depth series sampled at
   // `telemetry_samples` evenly spaced simulated times. The sampling hooks
   // are inert observers — SimResult is identical with telemetry on or off.
   // Also forwarded to the scheduler when scheduler.telemetry is unset.

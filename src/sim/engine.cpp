@@ -9,7 +9,6 @@ namespace tapo::sim {
 void Engine::schedule_at(double when, Callback cb) {
   TAPO_CHECK_MSG(when >= now_ - 1e-12, "cannot schedule in the past");
   queue_.push(Event{when, next_seq_++, std::move(cb)});
-  if (queue_.size() > max_pending_) max_pending_ = queue_.size();
 }
 
 void Engine::schedule_in(double delay, Callback cb) {

@@ -40,10 +40,9 @@ class Engine {
 
   std::size_t pending() const { return queue_.size(); }
 
-  // Lifetime observability counters (sim.* metrics): total events executed
-  // across all run_until calls, and the calendar's high-water mark.
+  // Total events executed across all run_one/run_until calls (the
+  // sim.events_processed metric).
   std::size_t executed() const { return executed_; }
-  std::size_t max_pending() const { return max_pending_; }
 
  private:
   struct Event {
@@ -60,7 +59,6 @@ class Engine {
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;
-  std::size_t max_pending_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 

@@ -1,13 +1,10 @@
 #include "sim/trace.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 
-#include "core/scheduler.h"
 #include "util/check.h"
-#include "util/telemetry.h"
 
 namespace tapo::sim {
 
@@ -126,104 +123,6 @@ std::optional<Trace> load_trace_csv(const std::string& path,
     return std::nullopt;
   }
   return trace;
-}
-
-SimResult simulate_trace(const dc::DataCenter& dc,
-                         const core::Assignment& assignment, const Trace& trace,
-                         const SimOptions& options) {
-  TAPO_CHECK(assignment.feasible);
-  TAPO_CHECK(options.duration_seconds > 0.0);
-  TAPO_CHECK(options.warmup_seconds >= 0.0 &&
-             options.warmup_seconds < options.duration_seconds);
-
-  util::telemetry::Registry* const reg = options.telemetry;
-  const util::telemetry::ScopedTimer run_timer(reg, "sim.replay");
-
-  core::SchedulerOptions scheduler_options = options.scheduler;
-  if (!scheduler_options.telemetry) scheduler_options.telemetry = reg;
-  core::DynamicScheduler scheduler(dc, assignment, scheduler_options);
-  std::vector<double> core_free_time(dc.total_cores(), 0.0);
-
-  SimResult result;
-  result.per_type.assign(dc.num_task_types(), {});
-  for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
-    for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      result.per_type[i].desired_rate += assignment.tc(i, k);
-    }
-  }
-  const double horizon = options.duration_seconds;
-  const double warmup = options.warmup_seconds;
-
-  // FIFO cores: a completion never influences a later admission decision
-  // beyond the core_free_time already known at admission, so the trace can
-  // be processed in one chronological pass with completion-side accounting.
-  for (const TraceEvent& event : trace) {
-    if (event.time > horizon) break;
-    TAPO_CHECK(event.task_type < dc.num_task_types());
-    PerTypeMetrics& m = result.per_type[event.task_type];
-    if (event.time >= warmup) ++m.arrived;
-    const auto decision =
-        scheduler.route(event.task_type, event.time, core_free_time);
-    if (!decision.assigned) {
-      if (event.time >= warmup) ++m.dropped;
-      continue;
-    }
-    const double start = std::max(event.time, core_free_time[decision.core]);
-    const double finish = start + decision.exec_seconds;
-    core_free_time[decision.core] = finish;
-    if (event.time >= warmup) ++m.assigned;
-    if (finish >= warmup && finish <= horizon) {
-      const double deadline =
-          event.time + dc.task_types[event.task_type].relative_deadline;
-      if (finish <= deadline + 1e-12) {
-        ++m.completed_in_time;
-        m.reward += dc.task_types[event.task_type].reward;
-      } else {
-        ++m.completed_late;
-      }
-    }
-  }
-
-  result.measured_seconds = horizon - warmup;
-  for (const PerTypeMetrics& m : result.per_type) result.total_reward += m.reward;
-  result.reward_rate = result.total_reward / result.measured_seconds;
-
-  double err_sum = 0.0, weight_sum = 0.0;
-  for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
-    for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      const double tc = assignment.tc(i, k);
-      if (tc <= 0.0) continue;
-      err_sum += std::fabs(scheduler.atc(i, k, horizon) - tc);
-      weight_sum += tc;
-    }
-  }
-  result.mean_tracking_error = weight_sum > 0.0 ? err_sum / weight_sum : 0.0;
-  result.energy_kwh =
-      assignment.total_power_kw() * result.measured_seconds / 3600.0;
-  result.reward_per_kwh =
-      result.energy_kwh > 0.0 ? result.total_reward / result.energy_kwh : 0.0;
-
-  if (reg) {
-    reg->count("sim.replays");
-    std::size_t arrived = 0, assigned = 0, dropped = 0, in_time = 0, late = 0;
-    for (const PerTypeMetrics& m : result.per_type) {
-      arrived += m.arrived;
-      assigned += m.assigned;
-      dropped += m.dropped;
-      in_time += m.completed_in_time;
-      late += m.completed_late;
-    }
-    reg->count("sim.arrivals", arrived);
-    reg->count("scheduler.assigned", assigned);
-    reg->count("scheduler.dropped", dropped);
-    reg->count("scheduler.completed_in_time", in_time);
-    reg->count("scheduler.deadline_misses", late);
-    reg->gauge_set("scheduler.final_tracking_error",
-                   result.mean_tracking_error);
-    reg->gauge_set("sim.reward_rate", result.reward_rate);
-    reg->gauge_set("sim.drop_fraction", result.drop_fraction());
-  }
-  return result;
 }
 
 }  // namespace tapo::sim

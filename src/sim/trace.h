@@ -56,8 +56,10 @@ bool save_trace_csv(const Trace& trace, const std::string& path);
 std::optional<Trace> load_trace_csv(const std::string& path,
                                     std::size_t num_task_types);
 
-// Replays a trace against an assignment (FIFO cores, completion-side reward
-// accounting; options.seed is unused - the trace is the randomness).
+// Replays a trace through simulate()'s admission path and accounting, in
+// stored order up to the first event past the horizon (options.seed and
+// threads are unused). Reports bad input through SimResult::status: the
+// checks simulate() makes, plus an event type the data center lacks.
 SimResult simulate_trace(const dc::DataCenter& dc,
                          const core::Assignment& assignment, const Trace& trace,
                          const SimOptions& options = {});

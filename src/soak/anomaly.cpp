@@ -181,10 +181,10 @@ std::vector<Anomaly> run_standard_pass(const SeriesFn& series,
                                        const CounterFn& counter,
                                        const AnomalyOptions& options) {
   std::vector<Anomaly> anomalies;
-  // scheduler.backlog is the true work queue (deepest core backlog in
-  // longest-deadline units); sim.queue_depth is the engine's pending-event
-  // count, which structurally drains near the horizon. Both are ramp-checked
-  // so a runaway event queue is caught too.
+  // scheduler.backlog is the deepest core's queued work (in longest-deadline
+  // units); sim.queue_depth counts admitted-but-unfinished tasks across all
+  // cores. Both are ramp-checked: one deep core and a park-wide pile-up are
+  // different runaways.
   AnomalyOptions backlog_options = options;
   backlog_options.ramp_min_rise = options.backlog_min_rise;
   if (auto a = detect_monotone_ramp("scheduler.backlog",

@@ -108,7 +108,7 @@ std::optional<Anomaly> detect_replan_storm(
 
 // The standard wiring the soak runner applies to one scenario's telemetry:
 //   * scheduler.backlog          -> monotone ramp (queued work, seconds)
-//   * sim.queue_depth            -> monotone ramp (engine pending events)
+//   * sim.queue_depth            -> monotone ramp (admitted, unfinished tasks)
 //   * scheduler.tracking_error   -> rolling-band drift
 //   * lp.session.fallbacks/solves -> fallback spike
 //   * lp.session.ft_budget_exhausted/resident_resumes -> FT-budget pressure

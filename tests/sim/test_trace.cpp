@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
 #include "core/assigner.h"
 #include "testutil.h"
 #include "thermal/heatflow.h"
+#include "util/telemetry.h"
 
 namespace tapo::sim {
 namespace {
@@ -181,6 +183,100 @@ TEST_F(TraceSimFixture, EmptyTraceYieldsNothing) {
   const auto result = simulate_trace(scenario->dc, assignment, {}, options);
   EXPECT_DOUBLE_EQ(result.total_reward, 0.0);
   EXPECT_DOUBLE_EQ(result.drop_fraction(), 0.0);
+}
+
+TEST_F(TraceSimFixture, ReplayReportsBadInputThroughStatus) {
+  const Trace trace = generate_poisson_trace(scenario->dc.task_types, 10.0,
+                                             util::Rng(2));
+  ASSERT_FALSE(trace.empty());
+  SimOptions options;
+  options.duration_seconds = 10.0;
+  ASSERT_TRUE(simulate_trace(scenario->dc, assignment, trace, options)
+                  .status.ok());
+
+  for (const double duration : {0.0, -5.0}) {
+    SimOptions bad = options;
+    bad.duration_seconds = duration;
+    const SimResult r = simulate_trace(scenario->dc, assignment, trace, bad);
+    EXPECT_EQ(r.status.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_TRUE(r.per_type.empty());
+  }
+  SimOptions late_warmup = options;
+  late_warmup.warmup_seconds = options.duration_seconds;
+  EXPECT_EQ(simulate_trace(scenario->dc, assignment, trace, late_warmup)
+                .status.code(),
+            util::StatusCode::kInvalidArgument);
+
+  core::Assignment infeasible = assignment;
+  infeasible.feasible = false;
+  EXPECT_EQ(simulate_trace(scenario->dc, infeasible, trace, options)
+                .status.code(),
+            util::StatusCode::kFailedPrecondition);
+
+  Trace out_of_range = trace;
+  out_of_range.back().task_type = scenario->dc.num_task_types();
+  const SimResult r =
+      simulate_trace(scenario->dc, assignment, out_of_range, options);
+  EXPECT_EQ(r.status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status.message().find("task type"), std::string::npos);
+
+  // An event past the horizon is never replayed, so its type is not judged.
+  Trace tail_only = trace;
+  tail_only.push_back(
+      {options.duration_seconds + 1.0, scenario->dc.num_task_types()});
+  EXPECT_TRUE(simulate_trace(scenario->dc, assignment, tail_only, options)
+                  .status.ok());
+}
+
+TEST_F(TraceSimFixture, TelemetryDoesNotChangeTheReplay) {
+  // A replay records the same sampler series and end-of-run counters as a
+  // live run, and the samplers leave the result untouched.
+  SimOptions plain;
+  plain.duration_seconds = 120.0;
+  plain.warmup_seconds = 12.0;
+  MmppConfig config;
+  config.burst_multiplier = 6.0;
+  const Trace trace = generate_mmpp_trace(scenario->dc.task_types, 120.0,
+                                          config, util::Rng(4));
+  const SimResult without =
+      simulate_trace(scenario->dc, assignment, trace, plain);
+
+  util::telemetry::Registry registry;
+  SimOptions observed = plain;
+  observed.telemetry = &registry;
+  const SimResult with =
+      simulate_trace(scenario->dc, assignment, trace, observed);
+
+  EXPECT_EQ(with.total_reward, without.total_reward);
+  EXPECT_EQ(with.mean_tracking_error, without.mean_tracking_error);
+  EXPECT_EQ(with.energy_kwh, without.energy_kwh);
+  ASSERT_EQ(with.per_type.size(), without.per_type.size());
+  std::size_t assigned = 0;
+  for (std::size_t i = 0; i < with.per_type.size(); ++i) {
+    EXPECT_EQ(with.per_type[i].arrived, without.per_type[i].arrived);
+    EXPECT_EQ(with.per_type[i].assigned, without.per_type[i].assigned);
+    EXPECT_EQ(with.per_type[i].completed_in_time,
+              without.per_type[i].completed_in_time);
+    assigned += with.per_type[i].assigned;
+  }
+
+  for (const char* series : {"scheduler.tracking_error", "scheduler.backlog",
+                             "sim.queue_depth"}) {
+    EXPECT_EQ(registry.series_values(series).size(), observed.telemetry_samples)
+        << series;
+  }
+  double deepest = 0.0;
+  for (const auto& sample : registry.series_values("sim.queue_depth")) {
+    deepest = std::max(deepest, sample.value);
+  }
+  EXPECT_GT(deepest, 0.0);  // admitted-but-unfinished tasks at some tick
+  EXPECT_EQ(registry.counter_value("sim.replays"), 1u);
+  EXPECT_EQ(registry.counter_value("sim.events_processed"),
+            observed.telemetry_samples);
+  EXPECT_EQ(registry.counter_value("scheduler.assigned"), assigned);
+  EXPECT_EQ(registry.gauge_value("scheduler.final_tracking_error"),
+            with.mean_tracking_error);
+  EXPECT_EQ(registry.timer_stats("sim.replay").count, 1u);
 }
 
 }  // namespace

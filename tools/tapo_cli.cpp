@@ -23,6 +23,7 @@
 //
 // Exit codes: 0 success, 1 infeasible/unsolvable instance, 2 bad input
 // (malformed scenario or fault file, unknown flags).
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -311,6 +312,10 @@ int cmd_trace(const util::ArgParser& args) {
   const auto scenario = make_scenario(args);
   if (!scenario) return 2;
   const double horizon = args.option_double("duration");
+  if (!std::isfinite(horizon) || horizon <= 0.0) {
+    std::fprintf(stderr, "error: --duration must be positive and finite\n");
+    return 2;
+  }
   const auto seed = static_cast<std::uint64_t>(args.option_int("seed"));
 
   sim::Trace trace;
@@ -352,6 +357,10 @@ int cmd_trace(const util::ArgParser& args) {
   options.telemetry = g_telemetry;
   const sim::SimResult result =
       sim::simulate_trace(scenario->dc, a, trace, options);
+  if (!result.status.ok()) {
+    std::fprintf(stderr, "error: %s\n", result.status.to_string().c_str());
+    return 2;
+  }
   util::Table table({"arrivals", "predicted reward/s", "achieved reward/s",
                      "ratio", "drop %"});
   table.add_row({std::to_string(trace.size()), util::fmt(a.reward_rate, 3),
