@@ -93,5 +93,74 @@ TEST(PowerMin, ZeroTargetCostsRoughlyPmin) {
   EXPECT_LT(result.total_power_kw, scenario.bounds.pmin_kw * 1.1 + 1e-9);
 }
 
+// Published power-minimization plans pinned bit for bit across commits, in
+// the style of Stage1.PublishedPlansPinned: default revised sweep and Dense
+// engine, one and two workers, all publishing the pinned plan. The targets
+// are 90% of each park's Stage-1 objective (97% on the derated park, which
+// needs a second, floor-inflated attempt — the path that re-seeds the sweep
+// from the previous attempt's basis).
+struct PinnedPowerMinPlan {
+  const char* name;
+  std::uint64_t seed;
+  std::size_t nodes, cracs;
+  double derated_crac0_min_c;  // 0 = healthy
+  double target_reward_rate;
+  std::vector<double> crac_out_c;
+  double total_power_kw, reward_rate;
+  std::size_t attempts;
+  std::uint64_t core_pstate_hash;  // test::bit_hash(assignment.core_pstate)
+};
+
+TEST(PowerMin, PublishedPlansPinned) {
+  const PinnedPowerMinPlan pins[] = {
+      {"seed 43", 43, 10, 2, 0.0, 201.03605044890625,
+       {19.107142857142854, 16.964285714285715}, 8.7288334037079132,
+       203.7759760472637, 1, 0x4c873b7db34620c7ULL},
+      {"seed 45", 45, 12, 2, 0.0, 227.03453266011036,
+       {19.107142857142854, 18.571428571428569}, 10.164939487252127,
+       227.01283572061041, 1, 0x023e9d64b071ef03ULL},
+      {"seed 46", 46, 11, 2, 0.0, 225.79437004147928,
+       {19.642857142857139, 17.5}, 9.86746202001315, 238.74008807157477, 1,
+       0xcfa64ba9c29d7625ULL},
+      {"seed 52, 3 CRACs", 52, 16, 3, 0.0, 284.00718907936653,
+       {18.839285714285708, 17.767857142857139, 17.232142857142854},
+       13.668100303151681, 293.74525069133961, 1, 0x5c790df8ad3cf667ULL},
+      {"seed 7, 40 nodes", 7, 40, 3, 0.0, 787.27781339594003,
+       {16.964285714285715, 16.696428571428573, 17.767857142857142},
+       36.28233298490008, 805.96867736741808, 1, 0x2c2ab6f451e4d0c3ULL},
+      {"seed 47, CRAC 0 derated to 18 C", 47, 12, 2, 18.0, 261.24116696403536,
+       {18.0, 16.5}, 11.279358177970476, 276.7303191759766, 2,
+       0xcfdd805ef30e2ce2ULL},
+  };
+  for (const PinnedPowerMinPlan& pin : pins) {
+    auto scenario = test::make_small_scenario(pin.seed, pin.nodes, pin.cracs);
+    if (pin.derated_crac0_min_c > 0.0) {
+      scenario.dc.set_crac_min_outlet(0, pin.derated_crac0_min_c);
+    }
+    const thermal::HeatFlowModel model(scenario.dc);
+    for (const solver::LpEngine engine :
+         {solver::LpEngine::Revised, solver::LpEngine::Dense}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE(testing::Message()
+                     << pin.name << " dense=" << (engine == solver::LpEngine::Dense)
+                     << " threads=" << threads);
+        PowerMinOptions options;
+        options.stage1.lp.engine = engine;
+        options.stage1.threads = threads;
+        const PowerMinResult got = minimize_power_for_reward(
+            scenario.dc, model, pin.target_reward_rate, options);
+        ASSERT_TRUE(got.feasible);
+        EXPECT_TRUE(got.met_target);
+        EXPECT_EQ(got.attempts, pin.attempts);
+        EXPECT_EQ(got.assignment.crac_out_c, pin.crac_out_c);
+        EXPECT_EQ(got.total_power_kw, pin.total_power_kw);
+        EXPECT_EQ(got.reward_rate, pin.reward_rate);
+        EXPECT_EQ(test::bit_hash(got.assignment.core_pstate),
+                  pin.core_pstate_hash);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tapo::core

@@ -1,6 +1,8 @@
 // Shared helpers for building small, fully-valid data centers in tests.
 #pragma once
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "dc/datacenter.h"
@@ -60,6 +62,23 @@ inline scenario::Scenario make_small_scenario(std::uint64_t seed,
     throw std::runtime_error("scenario generation failed in test helper");
   }
   return std::move(*result);
+}
+
+// FNV-1a 64 over the object representation of every element: a bitwise
+// fingerprint for pinning a published vector across commits (any change in
+// any bit of any element changes it, with overwhelming probability).
+template <typename T>
+std::uint64_t bit_hash(const std::vector<T>& values) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const T& v : values) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
 }
 
 }  // namespace tapo::test
