@@ -289,7 +289,7 @@ void FtFactorization::ftran(std::vector<double>& v,
   }
   TAPO_CHECK(v.size() == m_);
   base_.solve_lower_in_place(v);
-  for (const RowEta& e : retas_) v[e.spike_row] -= e.mult * v[e.pivot_row];
+  for (const RowEta& e : row_eta_log_) v[e.spike_row] -= e.mult * v[e.pivot_row];
   if (spike != nullptr) *spike = v;
   // Back substitution with Ubar in logical pair order. The input is indexed
   // by elimination row, the output by basis position, so the solve goes
@@ -327,8 +327,8 @@ void FtFactorization::btran(std::vector<double>& v) const {
     scratch_[r] = acc / u_[static_cast<std::size_t>(r) * m_ + c];
   }
   v.assign(scratch_.begin(), scratch_.end());
-  for (std::size_t kk = retas_.size(); kk > 0; --kk) {
-    const RowEta& e = retas_[kk - 1];
+  for (std::size_t kk = row_eta_log_.size(); kk > 0; --kk) {
+    const RowEta& e = row_eta_log_[kk - 1];
     v[e.pivot_row] -= e.mult * v[e.spike_row];
   }
   base_.solve_lower_transposed_in_place(v);
@@ -405,7 +405,7 @@ FtFactorization::Update FtFactorization::replace_column(
         ++entries_;
       }
     }
-    retas_.push_back(RowEta{rp, rj, mult});
+    row_eta_log_.push_back(RowEta{rp, rj, mult});
   }
 
   const double diag = rp_vals[p];

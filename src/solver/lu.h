@@ -110,8 +110,8 @@ class LuFactorization {
 //
 // The updatable structures materialize lazily on the first replace_column():
 // until then ftran/btran delegate to the wrapped LuFactorization's fused
-// solves, so a zero-update FtFactorization is bitwise identical to the
-// product-form engine at a fresh factorization. Not thread-safe (mutable
+// solves, so a zero-update FtFactorization is bitwise identical to a
+// fresh LuFactorization. Not thread-safe (mutable
 // scratch), matching LuFactorization.
 class FtFactorization {
  public:
@@ -174,7 +174,7 @@ class FtFactorization {
     std::uint32_t pivot_row;
     double mult;
   };
-  std::vector<RowEta> retas_;
+  std::vector<RowEta> row_eta_log_;
 
   std::size_t base_entries_ = 0;  // off-diagonal entries at materialization
   std::size_t entries_ = 0;       // current stored off-diagonal entries
