@@ -167,8 +167,7 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
                        options.stage1.tcrac_max_c);
     }
     // Chain heads seed from the previous attempt's winning basis (or the
-    // caller's warm_seed on the first attempt); within a chain each LP
-    // warm-starts from its predecessor.
+    // caller's warm_seed on the first attempt).
     const solver::LpBasis* seed = nullptr;
     if (!attempt_seed.empty()) {
       seed = &attempt_seed;
@@ -176,84 +175,61 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
                !options.stage1.warm_seed->empty()) {
       seed = options.stage1.warm_seed;
     }
-    struct ChainState {
-      solver::LpBasis basis;
-    };
-    // Same persistent-session sweep as Stage 1: one resident MinimizePower
-    // LP per warm chain, patched in place between grid points (the reward
-    // floor is fixed within an attempt, so only the thermal RHS and the
-    // CoP coefficients move).
-    const bool use_session = options.stage1.lp_session &&
-                             options.stage1.lp.engine ==
-                                 solver::LpEngine::Revised &&
-                             options.stage1.grid.warm_chain > 1;
-    struct SessionChainState {
-      std::unique_ptr<Stage1LpEvaluator> eval;
-    };
+    // Same session sweep as Stage 1: one resident MinimizePower LP per warm
+    // chain, patched in place between grid points (the reward floor is fixed
+    // within an attempt, so only the thermal RHS and the CoP coefficients
+    // move). Without it (Dense engine, or warm_chain <= 1) every point is
+    // one fresh solve_power_at warm-started from the seed.
+    const bool use_session =
+        options.stage1.lp.engine == solver::LpEngine::Revised &&
+        options.stage1.grid.warm_chain > 1;
     std::atomic<std::size_t> lp_solves{0};
     std::atomic<std::size_t> infeasible{0};
     std::atomic<std::size_t> iter_limited{0};
-    const solver::GridChainObjective session_objective =
+    const solver::GridChainObjective objective =
         [&](const std::vector<double>& crac_out,
             std::shared_ptr<void>& chain_state) -> std::optional<double> {
       lp_solves.fetch_add(1, std::memory_order_relaxed);
       const util::telemetry::ScopedTimer lp_timer(reg, "powermin.lp");
       solver::LpOptions lp_opt = options.stage1.lp;
       lp_opt.telemetry = reg;
-      auto* state = static_cast<SessionChainState*>(chain_state.get());
-      const solver::LpBasis* head_seed = nullptr;
-      if (state == nullptr) {
-        chain_state = std::make_shared<SessionChainState>();
-        state = static_cast<SessionChainState*>(chain_state.get());
-        state->eval = std::make_unique<Stage1LpEvaluator>(
-            dc, model, Stage1LpEvaluator::Mode::MinimizePower,
-            options.stage1.psi, floor, crac_out, lp_opt);
-        head_seed = seed;
-      } else {
-        state->eval->move_to(crac_out);
-      }
-      const Stage1Solver::LpOutcome outcome = state->eval->solve(head_seed);
-      if (!outcome.feasible) {
-        infeasible.fetch_add(1, std::memory_order_relaxed);
-        if (outcome.status == solver::LpStatus::IterLimit) {
-          iter_limited.fetch_add(1, std::memory_order_relaxed);
-        }
-        return std::nullopt;
-      }
-      return -(outcome.compute_power_kw + outcome.crac_power_kw);
-    };
-    const solver::GridChainObjective classic_objective =
-        [&](const std::vector<double>& crac_out,
-            std::shared_ptr<void>& chain_state) -> std::optional<double> {
-      lp_solves.fetch_add(1, std::memory_order_relaxed);
-      const util::telemetry::ScopedTimer lp_timer(reg, "powermin.lp");
-      solver::LpOptions lp_opt = options.stage1.lp;
-      lp_opt.telemetry = reg;
-      auto* state = static_cast<ChainState*>(chain_state.get());
-      if (state != nullptr && !state->basis.empty()) {
-        lp_opt.warm_start = &state->basis;
-      } else {
+      bool feasible = false;
+      solver::LpStatus status = solver::LpStatus::Infeasible;
+      double power_kw = 0.0;
+      if (!use_session) {
         lp_opt.warm_start = seed;
+        const StageOutcome outcome = solve_power_at(
+            dc, model, crac_out, options.stage1.psi, floor, lp_opt);
+        feasible = outcome.feasible;
+        status = outcome.status;
+        power_kw = outcome.power_kw;
+      } else {
+        Stage1Solver::LpOutcome outcome;
+        if (chain_state == nullptr) {
+          auto eval = std::make_shared<Stage1LpEvaluator>(
+              dc, model, Stage1LpEvaluator::Mode::MinimizePower,
+              options.stage1.psi, floor, crac_out, lp_opt);
+          outcome = eval->solve(seed);
+          chain_state = std::move(eval);
+        } else {
+          auto* eval = static_cast<Stage1LpEvaluator*>(chain_state.get());
+          eval->move_to(crac_out);
+          outcome = eval->solve();
+        }
+        feasible = outcome.feasible;
+        status = outcome.status;
+        power_kw = outcome.compute_power_kw + outcome.crac_power_kw;
       }
-      const StageOutcome outcome =
-          solve_power_at(dc, model, crac_out, options.stage1.psi, floor, lp_opt);
-      if (!outcome.feasible) {
+      if (!feasible) {
         infeasible.fetch_add(1, std::memory_order_relaxed);
-        if (outcome.status == solver::LpStatus::IterLimit) {
+        if (status == solver::LpStatus::IterLimit) {
           iter_limited.fetch_add(1, std::memory_order_relaxed);
         }
         return std::nullopt;
       }
-      if (state == nullptr) {
-        chain_state = std::make_shared<ChainState>();
-        state = static_cast<ChainState*>(chain_state.get());
-      }
-      state->basis = outcome.basis;
-      return -outcome.power_kw;
+      return -power_kw;
     };
-    const solver::GridChainObjective& objective =
-        use_session ? session_objective : classic_objective;
-    // solve_power_at builds the LP from per-call state only, so the sweep
+    // Every LP is built from per-call or per-chain state only, so the sweep
     // honours the Stage-1 threads knob (each round's chains run as one
     // parallel batch).
     const solver::GridSearchResult search = solver::uniform_then_coordinate_maximize(
