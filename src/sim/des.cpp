@@ -131,9 +131,7 @@ class ArrivalPump {
 // Run-wide counters published as sim.* / scheduler.* telemetry at end of run.
 struct RunStats {
   core::RoutingStats routing;
-  std::size_t batches = 0;    // arrival admission batches
-  std::size_t max_batch = 0;  // largest single batch
-  std::size_t events = 0;     // calendar events executed
+  std::size_t events = 0;  // calendar events executed
 
   void add(const RunStats& o) {
     routing.indexed_routes += o.routing.indexed_routes;
@@ -141,8 +139,6 @@ struct RunStats {
     routing.index_pops += o.routing.index_pops;
     routing.index_deferred += o.routing.index_deferred;
     routing.index_stale_pops += o.routing.index_stale_pops;
-    batches += o.batches;
-    max_batch = std::max(max_batch, o.max_batch);
     events += o.events;
   }
 };
@@ -194,8 +190,6 @@ SimResult finalize(const SimOptions& options,
     reg->count("scheduler.index_pops", stats.routing.index_pops);
     reg->count("scheduler.index_deferred", stats.routing.index_deferred);
     reg->count("scheduler.index_stale_pops", stats.routing.index_stale_pops);
-    reg->count("sim.arrival_batches", stats.batches);
-    reg->gauge_max("sim.max_batch_size", static_cast<double>(stats.max_batch));
   }
   return result;
 }
@@ -263,7 +257,7 @@ class Run {
   // against a retired plan is meaningless for the new rate matrix.
   void adopt(const core::Assignment& plan, double now) {
     integrate_to(now);
-    retired_.add({scheduler_->stats(), 0, 0, 0});
+    retired_.add({scheduler_->stats(), 0});
     install(plan);
   }
 
@@ -344,14 +338,10 @@ class Run {
       const bool have_arrival = pump.peek(ta, type);
       const double te = engine_.next_time();
       if (have_arrival && ta < te) {
-        std::size_t batch = 0;
         do {
           admit(type, ta);
           pump.advance(type, ta);
-          ++batch;
         } while (pump.peek(ta, type) && ta < te);
-        ++batches_;
-        max_batch_ = std::max(max_batch_, batch);
       } else if (!engine_.run_one(horizon_)) {
         break;
       }
@@ -366,7 +356,7 @@ class Run {
 
   RunStats stats() const {
     RunStats s = retired_;
-    s.add({scheduler_->stats(), batches_, max_batch_, engine_.executed()});
+    s.add({scheduler_->stats(), engine_.executed()});
     return s;
   }
 
@@ -440,8 +430,6 @@ class Run {
   const core::Assignment* plan_ = nullptr;
   std::optional<core::DynamicScheduler> scheduler_;
   RunStats retired_;  // routing stats of schedulers replaced by adopt()
-  std::size_t batches_ = 0;
-  std::size_t max_batch_ = 0;
 
   std::vector<PerTypeMetrics> per_type_;
   std::vector<double> core_free_time_;
