@@ -183,16 +183,15 @@ BENCHMARK(BM_Stage1UniformSweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Stage-1 sweep with a fixed thread count, varying the LP engine and the
-// warm-start chaining — the headline comparison for the revised engine:
-// dense tableau vs revised cold (chaining off) vs revised on per-chain
-// sessions (chaining on). All three select the bit-identical plan; only
-// iterations and wall clock differ. Counters report LP effort per sweep
+// Stage-1 sweep with a fixed thread count, varying the LP engine — the
+// headline comparison for the revised engine: dense tableau (every point
+// built from scratch) vs revised on resident per-lane sessions. Both select
+// the bit-identical plan; only iterations and wall clock differ. Counters report LP effort per sweep
 // (iterations per solve, warm-start hit rate, per-solve iteration
 // histogram); with TAPO_TELEMETRY_OUT set, the same lp.* counters land in
 // the telemetry JSON.
 void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
-                             std::size_t warm_chain, bool full_grid = true,
+                             bool full_grid = true,
                              std::optional<solver::LpPricing> pricing =
                                  std::nullopt) {
   scenario::ScenarioConfig config;
@@ -267,7 +266,6 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
       pricing.has_value()
           ? *pricing
           : bench::env_lp_pricing("TAPO_LP_PRICING", options.lp.pricing);
-  options.grid.warm_chain = warm_chain;
   options.telemetry = reg;
   double objective = 0.0;
   for (auto _ : state) {
@@ -291,14 +289,12 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
     state.counters[std::string("phase_") + (kPhases[i] + 9) + "_ms"] =
         1e3 * seconds / iterations;
   }
-  // The sweep runs on sessions exactly when it chains on the revised engine.
-  if (engine == solver::LpEngine::Revised && warm_chain > 1) {
+  // The sweep runs on sessions exactly on the revised engine.
+  if (engine == solver::LpEngine::Revised) {
     for (int i = 0; i < 6; ++i) {
       state.counters[kSession[i] + 3] = static_cast<double>(
           reg->counter_value(kSession[i]) - session0[i]) / iterations;
     }
-  }
-  if (engine == solver::LpEngine::Revised) {
     for (int i = 0; i < 3; ++i) {
       state.counters[kFt[i] + 3] = static_cast<double>(
           reg->counter_value(kFt[i]) - ft0[i]) / iterations;
@@ -356,22 +352,16 @@ void apply_c2f_sizes(benchmark::internal::Benchmark* b) {
 // numbers). The pinned *Dantzig row below is the pricing A/B against the
 // partial-Devex default.
 void BM_Stage1SweepDense(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Dense, 1);
+  run_stage1_engine_sweep(state, solver::LpEngine::Dense);
 }
 BENCHMARK(BM_Stage1SweepDense)->Apply(apply_full_grid_sizes);
 
-void BM_Stage1SweepRevisedCold(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Revised, 1);
-}
-BENCHMARK(BM_Stage1SweepRevisedCold)->Apply(apply_full_grid_sizes);
-
-// Persistent-session sweep (solver/session.h): one resident LP per warm
-// chain, patched between grid points and maintained with in-place
-// Forrest–Tomlin column-replacement updates instead of per-point rebuild +
-// import refactorization.
+// Persistent-session sweep (solver/session.h): one resident LP per
+// grid-search lane for the whole search, patched between grid points and
+// maintained with in-place Forrest–Tomlin column-replacement updates
+// instead of per-point rebuild + import refactorization.
 void BM_Stage1SweepRevisedSession(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Revised,
-                          solver::GridSearchOptions{}.warm_chain);
+  run_stage1_engine_sweep(state, solver::LpEngine::Revised);
 }
 BENCHMARK(BM_Stage1SweepRevisedSession)->Apply(apply_full_grid_sizes);
 
@@ -384,7 +374,6 @@ BENCHMARK(BM_Stage1SweepRevisedSession)->Apply(apply_full_grid_sizes);
 // regression cannot rot silently.
 void BM_Stage1SweepRevisedSessionDantzig(benchmark::State& state) {
   run_stage1_engine_sweep(state, solver::LpEngine::Revised,
-                          solver::GridSearchOptions{}.warm_chain,
                           /*full_grid=*/true, solver::LpPricing::Dantzig);
 }
 BENCHMARK(BM_Stage1SweepRevisedSessionDantzig)->Apply(apply_full_grid_sizes);
@@ -392,17 +381,17 @@ BENCHMARK(BM_Stage1SweepRevisedSessionDantzig)->Apply(apply_full_grid_sizes);
 // Same comparison on the coarse-to-fine search (the paper's production
 // path): refinement rounds evaluate tightly clustered setpoints, so warm
 // re-solves converge in a handful of dual pivots (8 iterations per solve
-// at 40 nodes vs 47 cold; cross-round incumbent seeding keeps the hit
-// rate above 0.9). The engine wall-clock trade-off above applies here too.
+// at 40 nodes vs 47 cold). Every batch fits in one chain, so the whole
+// search runs on lane 0's single resident LP. The engine wall-clock
+// trade-off above applies here too.
 void BM_Stage1CoarseToFineDense(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Dense, 1,
+  run_stage1_engine_sweep(state, solver::LpEngine::Dense,
                           /*full_grid=*/false);
 }
 BENCHMARK(BM_Stage1CoarseToFineDense)->Apply(apply_c2f_sizes);
 
 void BM_Stage1CoarseToFineRevisedSession(benchmark::State& state) {
   run_stage1_engine_sweep(state, solver::LpEngine::Revised,
-                          solver::GridSearchOptions{}.warm_chain,
                           /*full_grid=*/false);
 }
 BENCHMARK(BM_Stage1CoarseToFineRevisedSession)->Apply(apply_c2f_sizes);

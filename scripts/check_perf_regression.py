@@ -31,7 +31,10 @@ revised session to beat the dense tableau by >= 1.5x on the 1500-node
 coarse-to-fine row: the production-scale crossover the revised engine
 exists to deliver (measured ~2.3x; SOLVER.md §6b), gated so it cannot
 silently rot. The row is nightly-only, so perf-smoke skips it via
---allow-missing while perf-nightly enforces it. Defaults apply only to the
+--allow-missing while perf-nightly enforces it. A second default floor
+(0.9x on the 500-node coarse-to-fine row) runs in perf-smoke and catches a
+session sweep that stopped staying resident, on any host. Defaults apply
+only to the
 solver gate (they are dropped when --gated-prefix redirects the machinery
 at another binary); --allow-missing skips a required speedup whose rows are
 absent from the current run.
@@ -79,12 +82,21 @@ DEFAULT_REPORTED_PREFIXES = ()
 # Same-run speedup floors: (slow bench, fast bench, min ratio). The solver
 # crossover gate — the revised session must keep beating the dense tableau
 # on the production-scale (1500-node, 30-CRAC) coarse-to-fine search. The
-# row is nightly-only; perf-smoke skips it through --allow-missing.
+# row is nightly-only; perf-smoke skips it through --allow-missing. The
+# 500-node floor runs in perf-smoke and gates the resident session sweep
+# whatever the host's speed: it sits below the lowest ratio measured on a
+# healthy build (1.15x over 6 Release runs) and above every run of a build
+# that rebuilds the session at each grid point (0.41-0.60x).
 DEFAULT_REQUIRED_SPEEDUPS = (
     (
         "BM_Stage1CoarseToFineDense/nodes:1500/real_time",
         "BM_Stage1CoarseToFineRevisedSession/nodes:1500/real_time",
         1.5,
+    ),
+    (
+        "BM_Stage1CoarseToFineDense/nodes:500/real_time",
+        "BM_Stage1CoarseToFineRevisedSession/nodes:500/real_time",
+        0.9,
     ),
 )
 

@@ -207,11 +207,8 @@ class SweepLp {
     }
   }
 
-  // A non-null seed warm-starts from that basis; otherwise the previous
-  // solve's state is resumed in place.
-  solver::LpSolution solve(const solver::LpBasis* seed = nullptr) {
-    return session_->solve(seed);
-  }
+  // Solves the resident LP, resuming the previous solve's state in place.
+  solver::LpSolution solve() { return session_->solve(); }
 
  private:
   double node_row_rhs(std::size_t r, double node_in0) const {
@@ -392,47 +389,25 @@ Assignment BaselineAssigner::assign(const BaselineOptions& options) const {
   const std::size_t t = dc_.num_task_types();
   util::telemetry::Registry* const reg = options.lp.telemetry;
 
-  // One resident sweep LP per warm chain (the chain state), built at the
-  // chain head and patched to every later point of the chain. The chain
-  // partition is a pure function of the point sequence, so results are
-  // identical for any thread count.
-  //
-  // Cross-round seed, as in Stage 1: after every sweep round the serial
-  // on_round hook re-solves the incumbent on its own resident LP, and the
-  // next round's chain heads start from that basis instead of cold. The
-  // seed is written only between rounds and is a function of the
-  // (thread-count-invariant) incumbent sequence alone.
-  solver::LpBasis round_seed;
-  std::unique_ptr<SweepLp> seed_lp;
-  solver::GridSearchOptions grid = options.grid;
-  grid.on_round = [&](std::size_t round, const solver::GridSearchResult& running) {
-    if (options.grid.on_round) options.grid.on_round(round, running);
-    if (!running.found) return;
-    if (seed_lp == nullptr) {
-      seed_lp = std::make_unique<SweepLp>(dc_, model_, running.best_point, options.lp);
-    } else {
-      seed_lp->move_to(running.best_point);
-    }
-    const solver::LpSolution sol = seed_lp->solve();
-    if (sol.optimal()) round_seed = sol.basis;
-  };
+  // One resident sweep LP per grid-search lane (the lane state), built at
+  // the lane's first point and patched to every later point of the lane for
+  // the whole search. The lane partition is a pure function of the point
+  // sequence, so results are identical for any thread count.
   std::atomic<std::size_t> lp_solves{0};
   std::atomic<std::size_t> iter_limited{0};
   const auto objective =
       [&](const std::vector<double>& crac_out,
-          std::shared_ptr<void>& chain_state) -> std::optional<double> {
+          std::shared_ptr<void>& lane_state) -> std::optional<double> {
     lp_solves.fetch_add(1, std::memory_order_relaxed);
-    auto* sweep = static_cast<SweepLp*>(chain_state.get());
-    const solver::LpBasis* seed = nullptr;
+    auto* sweep = static_cast<SweepLp*>(lane_state.get());
     if (sweep == nullptr) {
       auto head = std::make_shared<SweepLp>(dc_, model_, crac_out, options.lp);
       sweep = head.get();
-      chain_state = std::move(head);
-      seed = round_seed.empty() ? nullptr : &round_seed;
+      lane_state = std::move(head);
     } else {
       sweep->move_to(crac_out);
     }
-    const solver::LpSolution sol = sweep->solve(seed);
+    const solver::LpSolution sol = sweep->solve();
     if (!sol.optimal()) {
       if (sol.status == solver::LpStatus::IterLimit) {
         iter_limited.fetch_add(1, std::memory_order_relaxed);
@@ -447,9 +422,9 @@ Assignment BaselineAssigner::assign(const BaselineOptions& options) const {
   {
     const util::telemetry::ScopedTimer sweep_timer(reg, "baseline.sweep");
     search = options.full_grid
-                 ? solver::grid_search_maximize(lo, hi, objective, grid)
+                 ? solver::grid_search_maximize(lo, hi, objective, options.grid)
                  : solver::uniform_then_coordinate_maximize(lo, hi, objective,
-                                                            grid);
+                                                            options.grid);
   }
 
   Assignment assignment;

@@ -11,8 +11,8 @@
 // (the paper's rounding rule).
 //
 // The setpoint sweep evaluates grid points on an equivalent node-aggregated
-// form of the Eq. 21 LP, one resident LP per warm chain (baseline.cpp,
-// docs/MODEL.md §7). The published plan comes from the Eq. 21 LP itself
+// form of the Eq. 21 LP, one resident LP per grid-search lane for the whole
+// search (baseline.cpp, docs/MODEL.md §7). The published plan comes from the Eq. 21 LP itself
 // (solve_at), re-solved on the Dense oracle at the winning setpoints.
 //
 // Note: the paper's Eq. 19 prints PCN_j = B_j + pi_{NTj,0} * sum_i FRAC(i,j);

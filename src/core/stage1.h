@@ -36,6 +36,9 @@ struct Stage1Options {
   double psi = 50.0;  // "best psi%" of task types in ARR_j
   double tcrac_min_c = 10.0;
   double tcrac_max_c = 25.0;
+  // Setpoint-search shape (samples, refinement rounds, resolution). The
+  // sweep evaluates its points on the search's fixed lanes (see
+  // solver::GridChainObjective); `threads` below overrides grid.threads.
   solver::GridSearchOptions grid;
   // Full Cartesian coarse-to-fine search (paper's generic multi-step method)
   // instead of the cheaper uniform-value + coordinate-descent default.
@@ -44,20 +47,20 @@ struct Stage1Options {
   // as one batch (0 = all hardware threads, 1 = the serial legacy path).
   // Every value yields a bit-identical Stage1Result — batch results are
   // reduced in a fixed order with value ties broken toward the
-  // lexicographically smallest setpoint vector, and the warm-start chain
-  // partition depends only on the point sequence. Overrides grid.threads.
+  // lexicographically smallest setpoint vector, and the lane partition
+  // depends only on the point sequence. Overrides grid.threads.
   std::size_t threads = 0;
   // LP engine and numerics for every solve in the sweep (the final re-solve
   // at the selected setpoints always runs the Dense oracle, so the published
-  // plan is engine-independent). On the revised engine with
-  // grid.warm_chain > 1 the sweep holds one persistent LP session per warm
-  // chain (core/stage1_lp.h): built at the chain head, then patched in
-  // place and resumed at each later point of the chain. The telemetry
-  // pointer inside is ignored; `telemetry` below is used for the lp.*
-  // metrics too.
+  // plan is engine-independent). On the revised engine the sweep holds one
+  // resident LP session per grid-search lane for the whole search
+  // (core/stage1_lp.h): built at the lane's first point, then patched in
+  // place and resumed at every later point of the lane. The Dense engine
+  // solves every point from scratch. The telemetry pointer inside is
+  // ignored; `telemetry` below is used for the lp.* metrics too.
   solver::LpOptions lp;
-  // Optional warm-start basis for the sweep's chain heads (non-owning; must
-  // outlive solve()); later points of a chain resume from their
+  // Optional warm-start basis for each lane's first build (non-owning; must
+  // outlive solve()); every later point of a lane resumes from its
   // predecessor's resident basis regardless. Recovery passes the pre-fault
   // plan's basis here so a re-plan converges in a handful of dual pivots
   // per grid point.

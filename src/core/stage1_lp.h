@@ -1,26 +1,31 @@
-// Persistent Stage-1 LP evaluator: one resident LP re-pointed at successive
-// CRAC setpoints through the solver session's patch API.
+// The Stage-1 LP at fixed CRAC setpoints, in its two roles (Stage 1's
+// reward maximization and powermin's power minimization under a reward
+// floor), built two ways.
 //
-// Stage1Solver::solve_at and powermin's solve_power_at rebuild their LP from
-// scratch at every grid point, although between neighboring points only the
-// setpoint-dependent pieces move: every row's RHS (through the affine
-// offsets of HeatFlowModel::offsets) and, in the CRAC power rows, the CoP
-// factor k_c = rho*Cp*F_c / CoP(tout_c). This class builds the LP once per
-// warm chain and afterwards patches exactly those pieces in place:
+// solve_stage1_lp builds the LP from scratch at one point and solves it
+// once. It is the per-point path: the Dense-engine sweep (the test oracle)
+// and the Dense polish re-solve at every sweep's winner, whose output is the
+// published plan.
+//
+// Stage1LpEvaluator is the revised-engine sweep's path: one resident LP per
+// grid-search lane, built once and re-pointed at successive setpoints. Between
+// neighboring points only the setpoint-dependent pieces move: every row's RHS
+// (through the affine offsets of HeatFlowModel::offsets) and, in the CRAC
+// power rows, the CoP factor k_c = rho*Cp*F_c / CoP(tout_c). The evaluator
+// patches exactly those pieces in place:
 //
 //   * the CRAC power row is carried in the k-scaled form
 //       (crac_in_c - tout_c) - q_c / k_c <= 0
-//     (the classic builders multiply through by k_c), so the node-power
+//     (solve_stage1_lp multiplies through by k_c), so the node-power
 //     coefficients — the dense thermal part — are setpoint-INDEPENDENT and
 //     a move touches one coefficient (-1/k_c) plus the RHS per CRAC;
 //   * redline rows keep their coefficients verbatim and move only the RHS;
 //   * the reward-floor row (MinimizePower) and the budget row never move.
 //
-// The feasible set at each point is identical to the classic builders'
-// (row scaling changes no solution), the variable layout and row structure
-// are exchangeable with theirs (an LpBasis from solve_at warm-starts this
-// LP and vice versa), and the sweep's published plan is still the Dense
-// cold re-solve at the winning point. See docs/SOLVER.md §7.
+// The feasible set at each point is identical for both builders (row
+// scaling changes no solution), and the variable layout and row structure
+// are exchangeable (an LpBasis from either warm-starts the other). See
+// docs/SOLVER.md §7.
 #pragma once
 
 #include <cstddef>
@@ -59,8 +64,8 @@ class Stage1LpEvaluator {
   void set_reward_floor(double floor);
 
   // Solves the resident LP. A non-null seed warm-starts from that basis
-  // (chain heads / cross-round seeding); otherwise the previous solve's
-  // state is resumed in place. The outcome mirrors Stage1Solver::solve_at:
+  // (a lane's first solve, from the caller's warm seed); otherwise the
+  // previous solve's state is resumed in place. The outcome mirrors Stage1Solver::solve_at:
   // objective/powers on Optimal, the infeasibility-certificate basis on a
   // warm Infeasible.
   Stage1Solver::LpOutcome solve(const solver::LpBasis* seed = nullptr);
@@ -92,10 +97,36 @@ class Stage1LpEvaluator {
   std::size_t power_row0_ = 0;
 
   // Setpoint-independent RHS base terms (sum over nodes of w * base power,
-  // accumulated in the same order as the classic builders).
+  // accumulated in the same order as solve_stage1_lp).
   std::vector<double> node_rhs_base_, crac_rhs_base_, power_rhs_base_;
 
   std::unique_ptr<solver::LpSession> session_;
 };
+
+// Builds the LP of `mode` at crac_out from scratch (CRAC power rows
+// multiplied through by k_c) and solves it once with lp_options. A base
+// load that alone breaks a redline returns infeasible without a solve.
+// reward_floor is only meaningful for MinimizePower (pass 0.0 otherwise).
+Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
+                                        const thermal::HeatFlowModel& model,
+                                        Stage1LpEvaluator::Mode mode,
+                                        double psi, double reward_floor,
+                                        const std::vector<double>& crac_out,
+                                        const solver::LpOptions& lp_options);
+
+// One setpoint-sweep point of `mode` evaluated on a grid-search lane
+// (lane_state, see solver::GridChainObjective). On the revised engine the
+// lane holds one resident Stage1LpEvaluator: built at the lane's first point
+// and seeded from `seed` (may be null), then moved to crac_out and resumed
+// at every later point. The Dense engine (the test oracle) ignores the lane
+// and solves the point with solve_stage1_lp.
+Stage1Solver::LpOutcome solve_on_lane(const dc::DataCenter& dc,
+                                      const thermal::HeatFlowModel& model,
+                                      Stage1LpEvaluator::Mode mode, double psi,
+                                      double reward_floor,
+                                      const std::vector<double>& crac_out,
+                                      const solver::LpOptions& lp_options,
+                                      const solver::LpBasis* seed,
+                                      std::shared_ptr<void>& lane_state);
 
 }  // namespace tapo::core

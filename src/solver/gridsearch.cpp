@@ -15,20 +15,34 @@ bool lex_less(const std::vector<double>& a, const std::vector<double>& b) {
   return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }
 
+// Warm-start chain length and lane count of the chained-objective drivers.
+// Each batch is cut into chains of kChain consecutive points (in submission
+// order) and chain c is dealt to lane c mod kLanes. A lane runs its chains
+// serially on one resident state that lives for the whole search, so the
+// resident memory is bounded by kLanes states whatever the grid size.
+constexpr std::size_t kChain = 8;
+constexpr std::size_t kLanes = 4;
+// Lane count of the plain-objective drivers: stateless, so no bound is
+// needed and every chain (one point) gets its own lane.
+constexpr std::size_t kLanePerPoint = static_cast<std::size_t>(-1);
+
 // Evaluates batches of candidate points — serially or on a thread pool — and
 // folds them into the incumbent in submission order, so the result is
-// bit-identical for every thread count. Points are evaluated in warm-start
-// chains of `chain` consecutive points; a chain is the parallel work unit
-// and its points run serially sharing one chain_state (null at the head).
-// The chain partition depends only on the submitted point sequence, never on
-// the thread count.
+// bit-identical for every thread count. A lane is the parallel work unit;
+// the chain partition and the chain-to-lane deal depend only on the
+// submitted point sequence, never on the thread count, so each lane's state
+// sees the same points in the same order on every run. One evaluator serves
+// a whole search, including the uniform driver's full-grid fallback, so the
+// lane states and the round numbering carry across both.
 class BatchEvaluator {
  public:
-  BatchEvaluator(const GridChainObjective& objective, std::size_t threads,
-                 std::size_t chain)
-      : objective_(objective), chain_(std::max<std::size_t>(1, chain)) {
-    const std::size_t n =
-        threads == 0 ? util::ThreadPool::hardware_threads() : threads;
+  BatchEvaluator(const GridChainObjective& objective,
+                 const GridSearchOptions& options, std::size_t chain,
+                 std::size_t lanes)
+      : objective_(objective), options_(options), chain_(chain), lanes_(lanes) {
+    const std::size_t n = options.threads == 0
+                              ? util::ThreadPool::hardware_threads()
+                              : options.threads;
     if (n > 1) pool_ = std::make_unique<util::ThreadPool>(n);
   }
 
@@ -38,18 +52,20 @@ class BatchEvaluator {
       const std::vector<std::vector<double>>& points) {
     values_.assign(points.size(), std::nullopt);
     const std::size_t n_chains = (points.size() + chain_ - 1) / chain_;
-    const auto eval_chain = [&](std::size_t c) {
-      std::shared_ptr<void> state;  // reset at every chain head
-      const std::size_t begin = c * chain_;
-      const std::size_t end = std::min(points.size(), begin + chain_);
-      for (std::size_t i = begin; i < end; ++i) {
-        values_[i] = objective_(points[i], state);
+    const std::size_t n_lanes = std::min(lanes_, n_chains);
+    if (states_.size() < n_lanes) states_.resize(n_lanes);
+    const auto eval_lane = [&](std::size_t lane) {
+      for (std::size_t c = lane; c < n_chains; c += n_lanes) {
+        const std::size_t end = std::min(points.size(), (c + 1) * chain_);
+        for (std::size_t i = c * chain_; i < end; ++i) {
+          values_[i] = objective_(points[i], states_[lane]);
+        }
       }
     };
-    if (pool_ && n_chains > 1) {
-      pool_->parallel_for(n_chains, eval_chain);
+    if (pool_ && n_lanes > 1) {
+      pool_->parallel_for(n_lanes, eval_lane);
     } else {
-      for (std::size_t c = 0; c < n_chains; ++c) eval_chain(c);
+      for (std::size_t lane = 0; lane < n_lanes; ++lane) eval_lane(lane);
     }
     return values_;
   }
@@ -73,10 +89,20 @@ class BatchEvaluator {
     }
   }
 
+  // Ends a sweep round: reports the running result to the progress hook.
+  void round_done(const GridSearchResult& result) {
+    if (options_.on_round) options_.on_round(rounds_, result);
+    ++rounds_;
+  }
+
  private:
   const GridChainObjective& objective_;
+  const GridSearchOptions& options_;
+  std::size_t rounds_ = 0;
   std::size_t chain_;
+  std::size_t lanes_;
   std::unique_ptr<util::ThreadPool> pool_;
+  std::vector<std::shared_ptr<void>> states_;  // one per lane, search-long
   std::vector<std::optional<double>> values_;
 };
 
@@ -118,25 +144,18 @@ std::vector<double> linspace(double lo, double hi, std::size_t n) {
 
 GridSearchResult grid_search_impl(const std::vector<double>& lo,
                                   const std::vector<double>& hi,
-                                  const GridChainObjective& objective,
                                   const GridSearchOptions& options,
-                                  std::size_t chain) {
+                                  BatchEvaluator& evaluator) {
   TAPO_CHECK(lo.size() == hi.size() && !lo.empty());
   const std::size_t dims = lo.size();
 
   GridSearchResult result;
-  std::size_t rounds = 0;
-  const auto round_done = [&] {
-    if (options.on_round) options.on_round(rounds, result);
-    ++rounds;
-  };
-  BatchEvaluator evaluator(objective, options.threads, chain);
   std::vector<std::vector<double>> samples(dims);
   for (std::size_t d = 0; d < dims; ++d) {
     samples[d] = linspace(lo[d], hi[d], options.coarse_samples);
   }
   evaluator.sweep(cartesian_points(samples), result);
-  round_done();
+  evaluator.round_done(result);
   if (!result.found) return result;
 
   std::vector<double> step(dims);
@@ -156,26 +175,19 @@ GridSearchResult grid_search_impl(const std::vector<double>& lo,
     }
     if (!any) break;
     evaluator.sweep(cartesian_points(samples), result);
-    round_done();
+    evaluator.round_done(result);
   }
   return result;
 }
 
 GridSearchResult uniform_then_coordinate_impl(const std::vector<double>& lo,
                                               const std::vector<double>& hi,
-                                              const GridChainObjective& objective,
                                               const GridSearchOptions& options,
-                                              std::size_t chain) {
+                                              BatchEvaluator& evaluator) {
   TAPO_CHECK(lo.size() == hi.size() && !lo.empty());
   const std::size_t dims = lo.size();
 
   GridSearchResult result;
-  std::size_t rounds = 0;
-  const auto round_done = [&] {
-    if (options.on_round) options.on_round(rounds, result);
-    ++rounds;
-  };
-  BatchEvaluator evaluator(objective, options.threads, chain);
 
   // Phase 1: all dimensions share one value; coarse sweep + one refinement.
   const double ulo = *std::max_element(lo.begin(), lo.end());
@@ -188,19 +200,12 @@ GridSearchResult uniform_then_coordinate_impl(const std::vector<double>& lo,
   };
   const std::size_t coarse = std::max<std::size_t>(options.coarse_samples * 2, 6);
   evaluator.sweep(uniform_points(linspace(ulo, uhi, coarse)), result);
-  round_done();
+  evaluator.round_done(result);
   if (!result.found) {
     // Fall back to the full grid: a uniform value may be infeasible while a
-    // non-uniform point is feasible. Shift the fallback's round numbering so
-    // a progress hook sees one monotone sequence.
-    GridSearchOptions fallback = options;
-    if (options.on_round) {
-      fallback.on_round = [&options, rounds](std::size_t round,
-                                             const GridSearchResult& r) {
-        options.on_round(rounds + round, r);
-      };
-    }
-    return grid_search_impl(lo, hi, objective, fallback, chain);
+    // non-uniform point is feasible. The fallback runs on the same evaluator,
+    // so it keeps the lanes' states and continues the round numbering.
+    return grid_search_impl(lo, hi, options, evaluator);
   }
   double step = (uhi - ulo) / static_cast<double>(std::max<std::size_t>(coarse - 1, 1));
   for (std::size_t round = 0; round < options.refine_rounds; ++round) {
@@ -212,7 +217,7 @@ GridSearchResult uniform_then_coordinate_impl(const std::vector<double>& lo,
       if (u >= ulo && u <= uhi) us.push_back(u);
     }
     evaluator.sweep(uniform_points(us), result);
-    round_done();
+    evaluator.round_done(result);
   }
 
   // Phase 2: cyclic coordinate descent around the best uniform point. Both
@@ -245,7 +250,7 @@ GridSearchResult uniform_then_coordinate_impl(const std::vector<double>& lo,
         improved = true;
       }
     }
-    round_done();
+    evaluator.round_done(result);
     if (!improved) {
       cstep *= 0.5;
       if (cstep < options.min_resolution * 0.5) break;
@@ -254,11 +259,12 @@ GridSearchResult uniform_then_coordinate_impl(const std::vector<double>& lo,
   return result;
 }
 
-// Adapts a plain objective to the chained signature (chain length 1, state
-// ignored), preserving the original per-point parallel granularity.
+// Adapts a plain objective to the chained signature (state ignored); run
+// with chains of one point and kLanePerPoint, it keeps the per-point
+// parallel granularity.
 GridChainObjective ignore_chain(const GridObjective& objective) {
   return [&objective](const std::vector<double>& point,
-                      std::shared_ptr<void>& /*chain_state*/) {
+                      std::shared_ptr<void>& /*lane_state*/) {
     return objective(point);
   };
 }
@@ -269,28 +275,32 @@ GridSearchResult grid_search_maximize(const std::vector<double>& lo,
                                       const std::vector<double>& hi,
                                       const GridObjective& objective,
                                       const GridSearchOptions& options) {
-  return grid_search_impl(lo, hi, ignore_chain(objective), options, 1);
+  const GridChainObjective stateless = ignore_chain(objective);
+  BatchEvaluator evaluator(stateless, options, 1, kLanePerPoint);
+  return grid_search_impl(lo, hi, options, evaluator);
 }
 
 GridSearchResult grid_search_maximize(const std::vector<double>& lo,
                                       const std::vector<double>& hi,
                                       const GridChainObjective& objective,
                                       const GridSearchOptions& options) {
-  return grid_search_impl(lo, hi, objective, options, options.warm_chain);
+  BatchEvaluator evaluator(objective, options, kChain, kLanes);
+  return grid_search_impl(lo, hi, options, evaluator);
 }
 
 GridSearchResult uniform_then_coordinate_maximize(
     const std::vector<double>& lo, const std::vector<double>& hi,
     const GridObjective& objective, const GridSearchOptions& options) {
-  return uniform_then_coordinate_impl(lo, hi, ignore_chain(objective), options,
-                                      1);
+  const GridChainObjective stateless = ignore_chain(objective);
+  BatchEvaluator evaluator(stateless, options, 1, kLanePerPoint);
+  return uniform_then_coordinate_impl(lo, hi, options, evaluator);
 }
 
 GridSearchResult uniform_then_coordinate_maximize(
     const std::vector<double>& lo, const std::vector<double>& hi,
     const GridChainObjective& objective, const GridSearchOptions& options) {
-  return uniform_then_coordinate_impl(lo, hi, objective, options,
-                                      options.warm_chain);
+  BatchEvaluator evaluator(objective, options, kChain, kLanes);
+  return uniform_then_coordinate_impl(lo, hi, options, evaluator);
 }
 
 }  // namespace tapo::solver

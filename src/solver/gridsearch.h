@@ -37,13 +37,6 @@ struct GridSearchOptions {
   // threads != 1 the objective is invoked concurrently and must be safe to
   // call from multiple threads at once.
   std::size_t threads = 1;
-  // Length of a warm-start chain when the chained-objective overloads run:
-  // each sweep's batch is split into chains of this many consecutive points
-  // (in submission order), a chain — not a point — is the parallel work
-  // unit, and the points of one chain evaluate serially sharing one
-  // chain_state. The partition is a pure function of the point sequence, so
-  // results stay bit-identical across thread counts. 1 disables chaining.
-  std::size_t warm_chain = 8;
   // Optional progress hook, invoked after each sweep round (coarse sweep,
   // refinement rounds, coordinate-descent passes) with the running result.
   // Always called from the driving thread after the round's batch has been
@@ -64,14 +57,19 @@ struct GridSearchResult {
 using GridObjective =
     std::function<std::optional<double>(const std::vector<double>&)>;
 
-// Chained objective for warm-started evaluation: chain_state is carried
-// between the consecutive points of one chain (null at each chain head) and
-// is owned by the objective — typically it holds the previous point's
-// optimal LP basis, so neighboring CRAC setpoints re-solve in a few pivots.
-// The driver guarantees a chain runs serially on one thread; distinct chains
-// may run concurrently, each with its own state.
+// Chained objective for warm-started evaluation. The driver keeps a fixed
+// number of lanes (4) for the whole search: each batch is cut into chains
+// of 8 consecutive points in submission order, chain c goes to lane c mod 4,
+// and a lane evaluates its chains serially. lane_state belongs to the lane
+// and lives for the whole search — null only at the lane's first point,
+// then whatever the objective left there, across chains, batches and
+// rounds. Typically it holds one resident LP re-pointed at each new point,
+// so neighboring CRAC setpoints re-solve in a few pivots. A lane runs on
+// one thread at a time; distinct lanes may run concurrently, each with its
+// own state. The partition depends only on the point sequence, never on the
+// thread count, so results stay bit-identical across thread counts.
 using GridChainObjective = std::function<std::optional<double>(
-    const std::vector<double>&, std::shared_ptr<void>& chain_state)>;
+    const std::vector<double>&, std::shared_ptr<void>& lane_state)>;
 
 // Full Cartesian coarse-to-fine maximization over [lo_d, hi_d] per dimension.
 // Cost grows exponentially with dimension; intended for <= 4 dimensions.
@@ -90,8 +88,8 @@ GridSearchResult uniform_then_coordinate_maximize(
     const GridObjective& objective, const GridSearchOptions& options = {});
 
 // Chained-objective variants: identical drivers (same sweeps, same
-// deterministic lex reduction), but each batch is evaluated in warm-start
-// chains of options.warm_chain consecutive points (see GridChainObjective).
+// deterministic lex reduction), but the points are evaluated on the lanes
+// described at GridChainObjective.
 GridSearchResult grid_search_maximize(const std::vector<double>& lo,
                                       const std::vector<double>& hi,
                                       const GridChainObjective& objective,

@@ -43,7 +43,7 @@ class RevisedCore {
     std::uint64_t stability_refactorizations = 0;  // monitor-triggered ones
     std::uint64_t fallbacks = 0;      // resident/seed state abandoned for cold
     std::uint64_t resident_resumes = 0;  // solves served from resident state
-    std::uint64_t seed_imports = 0;      // chain-head basis imports
+    std::uint64_t seed_imports = 0;      // seed basis imports
     // Resumes whose queued patch set hit the min(ft_max_updates, m/4+1)
     // update budget and were demoted to a refactorization. A climbing rate
     // here means patch chains outgrew the factor-update budget (soak
@@ -65,7 +65,7 @@ class RevisedCore {
   void patch_cost(std::size_t v, double obj);
 
   // Solves the resident (patched) problem. A non-empty seed re-imports that
-  // basis (one refactorization — the chain-head cost); otherwise the
+  // basis (one refactorization — the cost of a seeded build); otherwise the
   // previous solve's basis and factors are resumed with pending column
   // updates applied. Falls back to a cold solve on any validation or
   // numerical failure. Extraction is canonical, exactly like run().

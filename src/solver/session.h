@@ -20,9 +20,10 @@
 // canonical extraction keeps its results a function of the final basis
 // alone, exactly like solve_lp. Protocol details: docs/SOLVER.md §7.
 //
-// The CRAC grid sweep (core/stage1.cpp), powermin attempts and recovery
-// re-plans hold one session per warm chain. Not thread-safe; one session
-// belongs to one chain on one thread.
+// The CRAC grid sweep (core/stage1.cpp), powermin attempts, recovery
+// re-plans and the baseline sweep hold one session per grid-search lane for
+// a whole search. Not thread-safe; one session belongs to one lane, which
+// runs on one thread at a time.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +67,7 @@ class LpSession {
   void patch_cost(std::size_t v, double obj);
 
   // Solves the resident problem. A non-null, non-empty seed re-imports that
-  // basis (chain-head / cross-round seeding); otherwise the previous
+  // basis (a lane's first solve, from a warm seed); otherwise the previous
   // solve's basis and factors are resumed in place. Results — including the
   // exported basis and the infeasibility-certificate convention — match
   // solve_lp with the revised engine on an identically patched problem.

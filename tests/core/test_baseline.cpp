@@ -302,5 +302,23 @@ TEST(Baseline, TelemetryAttributesSweepAndPolish) {
   EXPECT_GT(a.lp_solves, 0u);
 }
 
+TEST(Baseline, CoarseToFineSweepBuildsOneResidentLp) {
+  // Every batch of the default coarse-to-fine search fits in one chain, so
+  // the whole sweep runs on lane 0's single resident LP at any worker count.
+  const auto scenario = test::make_small_scenario(91, 10, 2);
+  const thermal::HeatFlowModel model(scenario.dc);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    util::telemetry::Registry reg;
+    BaselineOptions options;
+    options.grid.threads = threads;
+    options.lp.telemetry = &reg;
+    const Assignment a = BaselineAssigner(scenario.dc, model).assign(options);
+    ASSERT_TRUE(a.feasible);
+    EXPECT_EQ(reg.timer_stats("lp.session.build").count, 1u);
+    EXPECT_EQ(reg.counter_value("lp.session.solves"), a.lp_solves);
+  }
+}
+
 }  // namespace
 }  // namespace tapo::core

@@ -4,6 +4,7 @@
 
 #include "core/assigner.h"
 #include "testutil.h"
+#include "util/telemetry.h"
 
 namespace tapo::core {
 namespace {
@@ -91,6 +92,37 @@ TEST(PowerMin, ZeroTargetCostsRoughlyPmin) {
   ASSERT_TRUE(result.feasible);
   // With no reward requirement the optimum is (close to) the all-off bound.
   EXPECT_LT(result.total_power_kw, scenario.bounds.pmin_kw * 1.1 + 1e-9);
+}
+
+TEST(PowerMin, TelemetryAttributesSweepAndPolish) {
+  // One attempt, one coarse-to-fine sweep on lane 0's single resident LP,
+  // one Dense polish at the winner — at any worker count — and telemetry
+  // never changes the plan.
+  const auto scenario = test::make_small_scenario(43, 10, 2);
+  const thermal::HeatFlowModel model(scenario.dc);
+  const double target = 201.03605044890625;
+  const PowerMinResult plain =
+      minimize_power_for_reward(scenario.dc, model, target);
+  ASSERT_TRUE(plain.feasible);
+  ASSERT_EQ(plain.attempts, 1u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    util::telemetry::Registry reg;
+    PowerMinOptions options;
+    options.stage1.threads = threads;
+    options.stage1.telemetry = &reg;
+    const PowerMinResult got =
+        minimize_power_for_reward(scenario.dc, model, target, options);
+    ASSERT_TRUE(got.feasible);
+    EXPECT_EQ(got.assignment.crac_out_c, plain.assignment.crac_out_c);
+    EXPECT_EQ(got.total_power_kw, plain.total_power_kw);
+    EXPECT_EQ(got.reward_rate, plain.reward_rate);
+    EXPECT_EQ(reg.timer_stats("powermin.solve").count, 1u);
+    EXPECT_EQ(reg.timer_stats("powermin.polish").count, 1u);
+    EXPECT_EQ(reg.timer_stats("lp.session.build").count, 1u);
+    EXPECT_EQ(reg.counter_value("lp.session.solves"),
+              reg.counter_value("powermin.lp_solves"));
+  }
 }
 
 // Published power-minimization plans pinned bit for bit across commits, in

@@ -146,6 +146,7 @@ TEST(Stage1, TelemetryDoesNotChangeTheSolution) {
   EXPECT_EQ(registry.counter_value("stage1.lp_solves"), with.lp_solves);
   EXPECT_EQ(registry.gauge_value("stage1.best_objective"), with.objective);
   EXPECT_EQ(registry.timer_stats("stage1.solve").count, 1u);
+  EXPECT_EQ(registry.timer_stats("stage1.polish").count, 1u);
   EXPECT_GT(registry.counter_value("stage1.sweep_rounds"), 0u);
   // One best-objective point per sweep round.
   EXPECT_EQ(registry.series_values("stage1.best_objective_by_round").size(),
@@ -166,8 +167,9 @@ TEST(Stage1, IterationCapReportsResourceExhausted) {
 }
 
 TEST(Stage1, EngineAndThreadCountDoNotChangeThePlan) {
-  // The published plan must be bit-identical across LP engines, sweep thread
-  // counts, and warm-start chaining (sessions) on/off: the sweep only
+  // The published plan must be bit-identical across LP engines (the Dense
+  // engine solves every point from scratch, the revised one resumes
+  // resident lane sessions) and sweep thread counts: the sweep only
   // *selects* a setpoint, and the final re-solve always runs the Dense
   // oracle cold.
   const auto scenario = test::make_small_scenario(43, 10, 2);
@@ -177,11 +179,10 @@ TEST(Stage1, EngineAndThreadCountDoNotChangeThePlan) {
   const Stage1Result reference = solver.solve();
   ASSERT_TRUE(reference.feasible);
 
-  std::vector<Stage1Options> variants(4);
+  std::vector<Stage1Options> variants(3);
   variants[0].lp.engine = solver::LpEngine::Dense;
   variants[1].threads = 1;
   variants[2].threads = 4;
-  variants[3].grid.warm_chain = 1;  // chaining (and sessions) disabled
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const Stage1Result got = solver.solve(variants[i]);
     ASSERT_TRUE(got.feasible) << "variant " << i;
@@ -195,9 +196,9 @@ TEST(Stage1, EngineAndThreadCountDoNotChangeThePlan) {
 
 TEST(Stage1, SessionSweepIsBitIdenticalAcrossThreadCounts) {
   // The persistent-session sweep (the default) holds one resident LP per
-  // warm chain. Chains are a pure function of the point sequence, so the
-  // published plan must stay bit-identical for any worker count, and must
-  // match the session-free Dense-engine sweep.
+  // grid-search lane. Lanes are a pure function of the point sequence, so
+  // the published plan must stay bit-identical for any worker count, and
+  // must match the session-free Dense-engine sweep.
   const auto scenario = test::make_small_scenario(45, 12, 2);
   const thermal::HeatFlowModel model(scenario.dc);
   const Stage1Solver solver(scenario.dc, model);
@@ -219,6 +220,26 @@ TEST(Stage1, SessionSweepIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(got.node_core_power_kw, reference.node_core_power_kw);
     EXPECT_EQ(got.compute_power_kw, reference.compute_power_kw);
     EXPECT_EQ(got.crac_power_kw, reference.crac_power_kw);
+  }
+}
+
+TEST(Stage1, CoarseToFineSweepBuildsOneResidentLp) {
+  // Every batch of the default coarse-to-fine search fits in one chain, so
+  // the whole sweep runs on lane 0: one session build, then patch-and-resume
+  // at every later point, across rounds, at any worker count.
+  const auto scenario = test::make_small_scenario(45, 12, 2);
+  const thermal::HeatFlowModel model(scenario.dc);
+  const Stage1Solver solver(scenario.dc, model);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    util::telemetry::Registry registry;
+    Stage1Options options;
+    options.threads = threads;
+    options.telemetry = &registry;
+    const Stage1Result result = solver.solve(options);
+    ASSERT_TRUE(result.feasible);
+    EXPECT_EQ(registry.timer_stats("lp.session.build").count, 1u);
+    EXPECT_EQ(registry.counter_value("lp.session.solves"), result.lp_solves);
   }
 }
 

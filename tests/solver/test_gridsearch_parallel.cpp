@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "util/rng.h"
@@ -171,6 +173,106 @@ TEST(GridSearchParallel, TieHeavyPlateauIsThreadCountInvariant) {
     expect_identical(serial, grid_search_maximize(lo, hi, plateau, opt));
     expect_identical(serial_uc,
                      uniform_then_coordinate_maximize(lo, hi, plateau, opt));
+  }
+}
+
+// Per-lane state of LaneProbe: how many points the lane has evaluated, and
+// whether a call is running on it right now.
+struct LaneState {
+  std::size_t points = 0;
+  std::atomic<bool> busy{false};
+};
+
+// A chained objective that audits the lane contract: it counts lane heads
+// (calls with a null state), flags any two calls overlapping on one lane,
+// and folds the lane's running point count into the value, so a result only
+// repeats across thread counts if every lane sees the same points in the
+// same order.
+class LaneProbe {
+ public:
+  explicit LaneProbe(std::optional<double> (*fn)(const std::vector<double>&))
+      : fn_(fn) {}
+
+  std::optional<double> operator()(const std::vector<double>& x,
+                                   std::shared_ptr<void>& state) {
+    if (!state) {
+      heads_.fetch_add(1);
+      state = std::make_shared<LaneState>();
+    }
+    auto& lane = *static_cast<LaneState*>(state.get());
+    if (lane.busy.exchange(true)) overlaps_.fetch_add(1);
+    const std::size_t seen = lane.points++;
+    const std::optional<double> v = fn_(x);
+    lane.busy.store(false);
+    if (!v) return v;
+    return *v + 1e-6 * static_cast<double>(seen);
+  }
+
+  std::size_t heads() const { return heads_.load(); }
+  std::size_t overlaps() const { return overlaps_.load(); }
+
+ private:
+  std::optional<double> (*fn_)(const std::vector<double>&);
+  std::atomic<std::size_t> heads_{0};
+  std::atomic<std::size_t> overlaps_{0};
+};
+
+std::optional<double> bowl(const std::vector<double>& x) {
+  double v = 0.0;
+  for (std::size_t d = 0; d < x.size(); ++d) {
+    const double c = 3.0 + static_cast<double>(d);
+    v -= (x[d] - c) * (x[d] - c);
+  }
+  return v;
+}
+
+// Infeasible wherever all coordinates agree, so every uniform point fails
+// and the uniform driver must fall back to the full grid.
+std::optional<double> off_diagonal_bowl(const std::vector<double>& x) {
+  for (double v : x) {
+    if (v != x[0]) return bowl(x);
+  }
+  return std::nullopt;
+}
+
+TEST(GridSearchParallel, ChainedObjectiveKeepsAtMostFourLanesPerSearch) {
+  struct Case {
+    const char* name;
+    bool full_grid;
+    std::size_t dims;
+    std::optional<double> (*fn)(const std::vector<double>&);
+  };
+  const Case cases[] = {
+      {"full grid", true, 3, bowl},  // 64-point coarse batch: 8 chains
+      {"uniform then coordinate", false, 3, bowl},
+      {"all-uniform-infeasible fallback", false, 3, off_diagonal_bowl},
+  };
+  for (const Case& c : cases) {
+    const std::vector<double> lo(c.dims, 0.0), hi(c.dims, 10.0);
+    GridSearchResult reference;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE(testing::Message() << c.name << " threads=" << threads);
+      LaneProbe probe(c.fn);
+      const GridChainObjective objective =
+          [&probe](const std::vector<double>& x, std::shared_ptr<void>& state) {
+            return probe(x, state);
+          };
+      GridSearchOptions opt;
+      opt.threads = threads;
+      const GridSearchResult r =
+          c.full_grid ? grid_search_maximize(lo, hi, objective, opt)
+                      : uniform_then_coordinate_maximize(lo, hi, objective, opt);
+      ASSERT_TRUE(r.found);
+      EXPECT_GT(r.evaluations, 8u);
+      EXPECT_GE(probe.heads(), 1u);
+      EXPECT_LE(probe.heads(), 4u);
+      EXPECT_EQ(probe.overlaps(), 0u);
+      if (threads == 1) {
+        reference = r;
+      } else {
+        expect_identical(reference, r);
+      }
+    }
   }
 }
 
