@@ -198,6 +198,7 @@ SimResult finalize(const SimOptions& options,
 // time is set at admission, so `finish` is fixed once the task is queued.
 struct Admitted {
   std::size_t type = 0;
+  double start = 0.0;
   double deadline = 0.0;
   double finish = 0.0;
   bool counted = false;  // admission counted in the measured window
@@ -205,9 +206,16 @@ struct Admitted {
 
 // A core's admitted tasks in finish order; those before `head` are retired.
 // Their storage is reclaimed once they fill half of it (O(1) moves a task).
+// The audit fields outlive a node failure's flush: `busy_s` is the retired
+// tasks' run time inside the horizon, `last_finish` the latest retired
+// finish, and `in_order` stays true while every retired task started no
+// earlier than its FIFO predecessor finished.
 struct CoreQueue {
   std::vector<Admitted> tasks;
   std::size_t head = 0;
+  double busy_s = 0.0;
+  double last_finish = 0.0;
+  bool in_order = true;
 };
 
 // One run of the paper's second-step loop (or one shard of it). The calendar
@@ -282,7 +290,7 @@ class Run {
     const double finish = start + decision.exec_seconds;
     core_free_time_[decision.core] = finish;
     retire(decision.core, now);
-    fifo_[decision.core].tasks.push_back({type, deadline, finish, counted});
+    fifo_[decision.core].tasks.push_back({type, start, deadline, finish, counted});
     ++in_flight_;
     return true;
   }
@@ -298,7 +306,8 @@ class Run {
       killed.insert(killed.end(), queue.tasks.begin() + queue.head,
                     queue.tasks.end());
       in_flight_ -= queue.tasks.size() - queue.head;
-      queue = {};
+      queue.tasks.clear();
+      queue.head = 0;
       core_free_time_[k] = now;
     }
     return killed;
@@ -348,10 +357,18 @@ class Run {
     }
   }
 
-  // Books what is still queued and closes the energy integral.
+  // Books what is still queued and closes the energy integral. Shared by
+  // every run's end, it also audits the cores: each runs one task at a
+  // time, so none can be booked busy for longer than the run.
   void close() {
     retire_all(kInf);
     integrate_to(horizon_);
+    for (const CoreQueue& queue : fifo_) {
+      TAPO_CHECK_MSG(queue.in_order,
+                     "a task started before its FIFO predecessor finished");
+      TAPO_CHECK_MSG(queue.busy_s <= horizon_ * (1.0 + 1e-9),
+                     "a core was booked busy longer than the run horizon");
+    }
   }
 
   RunStats stats() const {
@@ -384,7 +401,11 @@ class Run {
     CoreQueue& queue = fifo_[k];
     while (queue.head < queue.tasks.size() &&
            queue.tasks[queue.head].finish < t) {
-      book(queue.tasks[queue.head++]);
+      const Admitted& task = queue.tasks[queue.head++];
+      if (task.start < queue.last_finish) queue.in_order = false;
+      queue.last_finish = task.finish;
+      queue.busy_s += std::max(0.0, std::min(task.finish, horizon_) - task.start);
+      book(task);
       --in_flight_;
     }
     if (2 * queue.head >= queue.tasks.size()) {
