@@ -6,7 +6,6 @@
 #include <fstream>
 #include <string>
 
-#include "solver/lp.h"
 #include "util/telemetry.h"
 
 namespace tapo::bench {
@@ -19,22 +18,6 @@ inline std::size_t env_size(const char* name, std::size_t fallback) {
   if (!value) return fallback;
   const long parsed = std::strtol(value, nullptr, 10);
   return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
-
-// Reads a revised-engine pricing rule ("dantzig" | "partial_devex")
-// from the environment; returns fallback when unset, warns and returns
-// fallback on an unknown name. The no-rebuild pricing A/B knob
-// (e.g. TAPO_LP_PRICING=dantzig ./bench_solver_perf).
-inline solver::LpPricing env_lp_pricing(const char* name,
-                                        solver::LpPricing fallback) {
-  solver::LpPricing out = fallback;
-  if (const char* value = std::getenv(name)) {
-    if (!solver::parse_lp_pricing(value, &out)) {
-      std::fprintf(stderr, "%s: unknown pricing '%s', keeping %s\n", name,
-                   value, solver::to_string(fallback));
-    }
-  }
-  return out;
 }
 
 // Telemetry sink for bench binaries, sharing the runtime registry and JSON

@@ -107,11 +107,6 @@ int main() {
       options.telemetry = reg;
       options.assign.stage1.telemetry = lp_reg;
       if (use_dense) options.assign.stage1.lp.engine = solver::LpEngine::Dense;
-      // Pricing-rule A/B for re-plan latency
-      // (TAPO_LP_PRICING=dantzig|partial_devex); the revised engine defaults
-      // to partial Devex.
-      options.assign.stage1.lp.pricing = bench::env_lp_pricing(
-          "TAPO_LP_PRICING", options.assign.stage1.lp.pricing);
       sim::FaultEvent event = fault_case.event;
       if (event.kind == sim::FaultKind::kPowerCap) {
         event.value = 0.85 * scenario->dc.p_const_kw;

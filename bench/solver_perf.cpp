@@ -1,11 +1,10 @@
 // Substrate microbenchmarks (google-benchmark): LP simplex, LU, heat-flow
-// solve/linearize, cross-interference generation, the serial-vs-parallel
+// solve/offsets, cross-interference generation, the serial-vs-parallel
 // Stage-1 CRAC setpoint sweep, and the end-to-end assignment techniques at
 // several data-center sizes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <optional>
 
 #include "bench_common.h"
 #include "core/assigner.h"
@@ -15,6 +14,7 @@
 #include "scenario/generator.h"
 #include "solver/lp.h"
 #include "solver/lu.h"
+#include "solver/session.h"
 #include "thermal/crossinterference.h"
 #include "thermal/heatflow.h"
 #include "util/rng.h"
@@ -104,15 +104,15 @@ void BM_HeatFlowSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_HeatFlowSolve)->Arg(50)->Arg(150);
 
-void BM_HeatFlowLinearize(benchmark::State& state) {
+void BM_HeatFlowOffsets(benchmark::State& state) {
   const auto scenario = make_scenario(static_cast<std::size_t>(state.range(0)));
   const thermal::HeatFlowModel model(scenario.dc);
   std::vector<double> crac_out(scenario.dc.num_cracs(), 16.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.linearize(crac_out));
+    benchmark::DoNotOptimize(model.offsets(crac_out));
   }
 }
-BENCHMARK(BM_HeatFlowLinearize)->Arg(50)->Arg(150);
+BENCHMARK(BM_HeatFlowOffsets)->Arg(50)->Arg(150);
 
 void BM_CrossInterference(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
@@ -191,9 +191,7 @@ BENCHMARK(BM_Stage1UniformSweep)
 // histogram); with TAPO_TELEMETRY_OUT set, the same lp.* counters land in
 // the telemetry JSON.
 void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
-                             bool full_grid = true,
-                             std::optional<solver::LpPricing> pricing =
-                                 std::nullopt) {
+                             bool full_grid = true) {
   scenario::ScenarioConfig config;
   config.num_nodes = static_cast<std::size_t>(state.range(0));
   // 3 search dimensions at the historical sizes (unchanged baselines). At
@@ -222,7 +220,7 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
   // wall clock into LP build, standardization, basis factorization, and the
   // per-iteration pricing / FTRAN / basis-update laps — the split that
   // showed pivots were never the dense engine's problem (docs/SOLVER.md §6)
-  // and, since PR 10, where a pricing rule's scan cost actually lands.
+  // and where partial pricing's scan cost actually lands.
   static const char* const kPhases[] = {
       "lp.phase.build", "lp.phase.standardize", "lp.phase.factorize",
       "lp.phase.price", "lp.phase.ftran",       "lp.phase.update"};
@@ -234,7 +232,7 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
   // updates applied, stability rejections and fill-triggered rebuilds.
   static const char* const kFt[] = {"lp.ft.updates", "lp.ft.stability_rejects",
                                     "lp.ft.fill_refactorizations"};
-  // Pricing-rule internals (docs/OBSERVABILITY.md): candidate-window
+  // Partial-Devex internals (docs/OBSERVABILITY.md): candidate-window
   // rotations, Devex reference resets, certified full-rotation fallbacks.
   static const char* const kPricing[] = {"lp.pricing.window_refreshes",
                                          "lp.pricing.devex_resets",
@@ -259,13 +257,6 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
   options.full_grid = full_grid;
   options.threads = 1;
   options.lp.engine = engine;
-  // Default benches run the production rule (the LpOptions default),
-  // overridable by TAPO_LP_PRICING; the pinned *Dantzig A/B row ignores the
-  // env so its name always means what it says.
-  options.lp.pricing =
-      pricing.has_value()
-          ? *pricing
-          : bench::env_lp_pricing("TAPO_LP_PRICING", options.lp.pricing);
   options.telemetry = reg;
   double objective = 0.0;
   for (auto _ : state) {
@@ -343,14 +334,11 @@ void apply_c2f_sizes(benchmark::internal::Benchmark* b) {
 // attached counters show it). The dense tableau still wins the full grid
 // through 500 nodes — the thermal rows make every LP column dense, so a
 // full pricing scan touches as many entries as the tableau does without
-// its vectorization, and no pricing rule changes that: the column-class
-// dedup already collapses the scan to one dot per distinct column, and
-// the session sweep's pricing time is dominated by the rule-independent
-// dual ratio scans of patch-and-resume repair. Partial Devex pricing does
-// win the coarse-to-fine rows, by a margin that grows with scale, which
-// is why it is the default (docs/SOLVER.md §6b/§8 keep the measured
-// numbers). The pinned *Dantzig row below is the pricing A/B against the
-// partial-Devex default.
+// its vectorization: the column-class dedup already collapses the scan to
+// one dot per distinct column, and the session sweep's pricing time is
+// dominated by the dual ratio scans of patch-and-resume repair. Partial
+// Devex pricing wins the coarse-to-fine rows, by a margin that grows with
+// scale (docs/SOLVER.md §6b/§8 keep the measured numbers).
 void BM_Stage1SweepDense(benchmark::State& state) {
   run_stage1_engine_sweep(state, solver::LpEngine::Dense);
 }
@@ -364,19 +352,6 @@ void BM_Stage1SweepRevisedSession(benchmark::State& state) {
   run_stage1_engine_sweep(state, solver::LpEngine::Revised);
 }
 BENCHMARK(BM_Stage1SweepRevisedSession)->Apply(apply_full_grid_sizes);
-
-// Pricing-rule A/B on the session sweep: identical configuration to
-// BM_Stage1SweepRevisedSession (which runs the partial-Devex default) with
-// Dantzig pinned, immune to TAPO_LP_PRICING. Both rows publish the
-// bit-identical plan; they differ in iteration counts (lp_iters_per_solve)
-// and in where the phase_*_ms time goes. check_perf_regression.py gates
-// the pinned row at a loose per-prefix threshold so a pricing-path
-// regression cannot rot silently.
-void BM_Stage1SweepRevisedSessionDantzig(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Revised,
-                          /*full_grid=*/true, solver::LpPricing::Dantzig);
-}
-BENCHMARK(BM_Stage1SweepRevisedSessionDantzig)->Apply(apply_full_grid_sizes);
 
 // Same comparison on the coarse-to-fine search (the paper's production
 // path): refinement rounds evaluate tightly clustered setpoints, so warm
@@ -397,9 +372,10 @@ void BM_Stage1CoarseToFineRevisedSession(benchmark::State& state) {
 BENCHMARK(BM_Stage1CoarseToFineRevisedSession)->Apply(apply_c2f_sizes);
 
 // RHS re-solve latency, the recovery/grid-neighbor pattern in isolation: a
-// transportation LP is solved once, then re-solved with perturbed sink
-// capacities — cold (arg 0) or warm from the unperturbed optimal basis
-// (arg 1). The counter reports simplex iterations per re-solve.
+// transportation LP is solved once, then each perturbed-capacity rebuild is
+// solved cold by solve_lp (arg 0) or by a fresh LpSession seeded with the
+// unperturbed optimal basis (arg 1). The counter reports simplex
+// iterations per re-solve.
 void BM_LpRhsResolve(benchmark::State& state) {
   const bool warm = state.range(0) != 0;
   const std::size_t sources = 120, sinks = 8;
@@ -436,9 +412,9 @@ void BM_LpRhsResolve(benchmark::State& state) {
   for (auto _ : state) {
     const solver::LpProblem lp = build(scales[pick]);
     pick = (pick + 1) % 4;
-    solver::LpOptions opt;
-    if (warm) opt.warm_start = &base.basis;
-    const solver::LpSolution sol = solver::solve_lp(lp, opt);
+    const solver::LpSolution sol =
+        warm ? solver::LpSession(lp, {}).solve(&base.basis)
+             : solver::solve_lp(lp);
     if (!sol.optimal()) std::abort();
     iterations += sol.iterations;
     ++resolves;

@@ -11,7 +11,7 @@ All engine sweeps gate the build. The dense-engine sweeps use the tight
 default threshold (20%): they have no warm-start or session state, so their
 normalized time is stable run-to-run. The revised/session sweeps gate at a
 looser per-prefix threshold (35% by default via `PREFIX=0.35` syntax):
-they carry chain-length, refactorization-cadence, and fallback variance,
+they carry lane-chain, refactorization-cadence, and fallback variance,
 but a Forrest–Tomlin or pricing regression still moves them far past that
 band, so leaving them report-only would let the update path rot silently.
 The Eq. 21 baseline rows (BM_BaselineAssign, a session sweep plus one
@@ -26,18 +26,17 @@ while the nightly job, which runs every size, does not.
 Besides the baseline-relative thresholds, --require-speedup SLOW FAST RATIO
 asserts that bench FAST beats bench SLOW by at least RATIO within the
 *current* run alone — both sides come from the same process on the same
-machine, so no normalization is involved. The solver default requires the
-revised session to beat the dense tableau by >= 1.5x on the 1500-node
-coarse-to-fine row: the production-scale crossover the revised engine
-exists to deliver (measured ~2.3x; SOLVER.md §6b), gated so it cannot
-silently rot. The row is nightly-only, so perf-smoke skips it via
---allow-missing while perf-nightly enforces it. A second default floor
-(0.9x on the 500-node coarse-to-fine row) runs in perf-smoke and catches a
-session sweep that stopped staying resident, on any host. Defaults apply
-only to the
-solver gate (they are dropped when --gated-prefix redirects the machinery
-at another binary); --allow-missing skips a required speedup whose rows are
-absent from the current run.
+machine, so no normalization is involved. The solver defaults are two
+floors on the coarse-to-fine rows, revised session vs dense tableau:
+  * 1500 nodes, >= 1.5x: the production-scale crossover the revised engine
+    exists to deliver (measured ~2.3x; SOLVER.md §6b). The row is
+    nightly-only, so perf-smoke skips it via --allow-missing while
+    perf-nightly enforces it.
+  * 500 nodes, >= 0.9x: runs in perf-smoke and catches a session sweep that
+    stopped staying resident, on any host.
+Defaults apply only to the solver gate (they are dropped when
+--gated-prefix redirects the machinery at another binary); --allow-missing
+skips a required speedup whose rows are absent from the current run.
 
 Exit status 0 when every gated bench is within its threshold and every
 required speedup holds, 1 otherwise. Stdlib only.
@@ -63,16 +62,12 @@ import sys
 DEFAULT_PROXY_PREFIX = "BM_LuFactorSolve/"
 # Benches that gate the build. A bare prefix gates at --threshold; a
 # "prefix=0.35" entry carries its own threshold (the revised/session sweeps
-# tolerate more run-to-run variance than the stateless dense ones). Order
-# matters: first match wins, so the pricing A/B row (pinned Dantzig on
-# the session sweep — a non-default iterate path, the noisiest row in the
-# file) claims its looser 0.50 band before the generic revised prefix
-# would. The baseline rows sweep on per-chain sessions too, so they
+# tolerate more run-to-run variance than the stateless dense ones). First
+# match wins. The baseline rows sweep on per-lane sessions too, so they
 # share the session band.
 DEFAULT_GATED_PREFIXES = (
     "BM_Stage1SweepDense/",
     "BM_Stage1CoarseToFineDense/",
-    "BM_Stage1SweepRevisedSessionDantzig=0.50",
     "BM_Stage1SweepRevised=0.35",
     "BM_Stage1CoarseToFineRevised=0.35",
     "BM_BaselineAssign/=0.35",

@@ -260,7 +260,9 @@ BaselineAssigner::LpOutcome BaselineAssigner::solve_at(
   const std::size_t t = dc_.num_task_types();
   TAPO_CHECK(crac_out.size() == nc);
 
-  const thermal::LinearResponse lr = model_.linearize(crac_out);
+  const thermal::HeatFlowModel::AffineOffsets off = model_.offsets(crac_out);
+  const solver::Matrix& node_coeff = model_.node_in_coeff();
+  const solver::Matrix& crac_coeff = model_.crac_in_coeff();
 
   solver::LpProblem lp;
   const auto frac_var = add_frac_vars(dc_, lp);
@@ -301,14 +303,14 @@ BaselineAssigner::LpOutcome BaselineAssigner::solve_at(
     return true;
   };
   for (std::size_t r = 0; r < nn; ++r) {
-    if (!add_thermal_row(lr.node_in_coeff.row(r),
-                         dc_.redline_node_c - lr.node_in0[r])) {
+    if (!add_thermal_row(node_coeff.row(r),
+                         dc_.redline_node_c - off.node_in0[r])) {
       return {};
     }
   }
   for (std::size_t r = 0; r < nc; ++r) {
-    if (!add_thermal_row(lr.crac_in_coeff.row(r),
-                         dc_.redline_crac_c - lr.crac_in0[r])) {
+    if (!add_thermal_row(crac_coeff.row(r),
+                         dc_.redline_crac_c - off.crac_in0[r])) {
       return {};
     }
   }
@@ -319,9 +321,9 @@ BaselineAssigner::LpOutcome BaselineAssigner::solve_at(
     const double k = dc::kAirDensity * dc::kAirSpecificHeat * crac.flow_m3s /
                      crac.cop(crac_out[c]);
     std::vector<std::pair<std::size_t, double>> terms;
-    double rhs = -k * (lr.crac_in0[c] - crac_out[c]);
+    double rhs = -k * (off.crac_in0[c] - crac_out[c]);
     for (std::size_t j = 0; j < nn; ++j) {
-      const double w = k * lr.crac_in_coeff(c, j);
+      const double w = k * crac_coeff(c, j);
       if (w == 0.0) continue;
       rhs -= w * dc_.node_type(j).base_power_kw();
       const double per_frac = w * frac_power[j];
@@ -445,7 +447,6 @@ Assignment BaselineAssigner::assign(const BaselineOptions& options) const {
   // Dense-oracle re-solve at the winner (engine-independent published plan).
   solver::LpOptions polish = options.lp;
   polish.engine = solver::LpEngine::Dense;
-  polish.warm_start = nullptr;
   LpOutcome best;
   {
     const util::telemetry::ScopedTimer polish_timer(reg, "baseline.polish");

@@ -37,9 +37,9 @@ struct BaselineOptions {
   double tcrac_max_c = 25.0;
   solver::GridSearchOptions grid;
   bool full_grid = false;
-  // Numerics and telemetry sink for the sweep's solves. The sweep runs on
-  // resident LP sessions (always the revised engine; engine and warm_start
-  // are ignored there); the final re-solve at the selected setpoints always
+  // Iteration cap and telemetry sink for the sweep's solves. The sweep runs
+  // on resident LP sessions (always the revised engine; engine is ignored
+  // there); the final re-solve at the selected setpoints always
   // runs the Dense oracle (engine-independent published plans, mirroring
   // Stage 1). With a telemetry sink, assign() also records the
   // baseline.sweep / baseline.polish timers and baseline.lp_solves.

@@ -102,7 +102,6 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
     // engine-independent (mirrors Stage 1's polish step).
     solver::LpOptions polish = options.stage1.lp;
     polish.engine = solver::LpEngine::Dense;
-    polish.warm_start = nullptr;
     polish.telemetry = reg;
     Stage1Solver::LpOutcome best;
     {

@@ -124,7 +124,6 @@ Stage1Result Stage1Solver::solve(const Stage1Options& options) const {
   // published plan is bit-identical whichever engine powered the sweep.
   solver::LpOptions polish = options.lp;
   polish.engine = solver::LpEngine::Dense;
-  polish.warm_start = nullptr;
   polish.telemetry = reg;
   LpOutcome best;
   {

@@ -12,7 +12,8 @@
 //   s.t.      total compute power + total CRAC power <= Pconst   (Eq. 9 c1)
 //             Tin <= Tredline                                    (Eq. 9 c2)
 // where the thermal rows and the CRAC power (at fixed setpoints, with CoP
-// known) are affine in the node powers via HeatFlowModel::linearize. The
+// known) are affine in the node powers via HeatFlowModel::offsets and the
+// resident node_in_coeff()/crac_in_coeff() sensitivities. The
 // outlet temperatures themselves are found by the paper's discretized
 // coarse-to-fine search (Section V.B.2's multi-step method).
 #pragma once
@@ -50,7 +51,7 @@ struct Stage1Options {
   // lexicographically smallest setpoint vector, and the lane partition
   // depends only on the point sequence. Overrides grid.threads.
   std::size_t threads = 0;
-  // LP engine and numerics for every solve in the sweep (the final re-solve
+  // LP engine and iteration cap for every solve in the sweep (the final re-solve
   // at the selected setpoints always runs the Dense oracle, so the published
   // plan is engine-independent). On the revised engine the sweep holds one
   // resident LP session per grid-search lane for the whole search

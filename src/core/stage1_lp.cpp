@@ -44,7 +44,9 @@ Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
   if (lp_options.telemetry) build_timer.emplace(lp_options.telemetry, "lp.phase.build");
 
   const std::vector<solver::PiecewiseLinear> arr_by_type = node_rewards(dc, psi);
-  const thermal::LinearResponse lr = model.linearize(crac_out);
+  const thermal::HeatFlowModel::AffineOffsets off = model.offsets(crac_out);
+  const solver::Matrix& node_coeff = model.node_in_coeff();
+  const solver::Matrix& crac_coeff = model.crac_in_coeff();
 
   solver::LpProblem lp;
   // Segment variables per node; consecutive segments of a concave function
@@ -90,9 +92,9 @@ Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
   // the coefficient rows add the node-power influence, including base power.
   for (std::size_t r = 0; r < nn; ++r) {
     std::vector<std::pair<std::size_t, double>> terms;
-    double rhs = dc.redline_node_c - lr.node_in0[r];
+    double rhs = dc.redline_node_c - off.node_in0[r];
     for (std::size_t j = 0; j < nn; ++j) {
-      const double w = lr.node_in_coeff(r, j);
+      const double w = node_coeff(r, j);
       if (w == 0.0) continue;
       rhs -= w * dc.node_base_power_kw(j);
       for (std::size_t v : seg_vars[j]) terms.emplace_back(v, w);
@@ -104,9 +106,9 @@ Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
   }
   for (std::size_t r = 0; r < nc; ++r) {
     std::vector<std::pair<std::size_t, double>> terms;
-    double rhs = dc.redline_crac_c - lr.crac_in0[r];
+    double rhs = dc.redline_crac_c - off.crac_in0[r];
     for (std::size_t j = 0; j < nn; ++j) {
-      const double w = lr.crac_in_coeff(r, j);
+      const double w = crac_coeff(r, j);
       if (w == 0.0) continue;
       rhs -= w * dc.node_base_power_kw(j);
       for (std::size_t v : seg_vars[j]) terms.emplace_back(v, w);
@@ -122,9 +124,9 @@ Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
     const double k = dc::kAirDensity * dc::kAirSpecificHeat * crac.flow_m3s /
                      crac.cop(crac_out[c]);
     std::vector<std::pair<std::size_t, double>> terms;
-    double rhs = -k * (lr.crac_in0[c] - crac_out[c]);
+    double rhs = -k * (off.crac_in0[c] - crac_out[c]);
     for (std::size_t j = 0; j < nn; ++j) {
-      const double w = k * lr.crac_in_coeff(c, j);
+      const double w = k * crac_coeff(c, j);
       if (w == 0.0) continue;
       rhs -= w * dc.node_base_power_kw(j);
       for (std::size_t v : seg_vars[j]) terms.emplace_back(v, w);

@@ -48,9 +48,9 @@ class Stage1LpEvaluator {
 
   // Builds the LP at crac_out0 and standardizes it into a resident
   // LpSession. reward_floor is only meaningful for MinimizePower (pass 0.0
-  // otherwise). lp_options supplies numerics and the telemetry sink; the
-  // engine/warm_start fields are ignored (sessions are always the revised
-  // engine with per-solve seeds).
+  // otherwise). lp_options supplies the iteration cap and the telemetry
+  // sink; its engine is ignored (sessions are always the revised engine,
+  // warm-started through per-solve seeds).
   Stage1LpEvaluator(const dc::DataCenter& dc,
                     const thermal::HeatFlowModel& model, Mode mode, double psi,
                     double reward_floor, const std::vector<double>& crac_out0,
@@ -69,12 +69,6 @@ class Stage1LpEvaluator {
   // objective/powers on Optimal, the infeasibility-certificate basis on a
   // warm Infeasible.
   Stage1Solver::LpOutcome solve(const solver::LpBasis* seed = nullptr);
-
-  // Session statistics (patches, FT updates, refactorizations, fallbacks).
-  solver::LpSession::Stats session_stats() const { return session_->stats(); }
-
-  // The resident patched problem, for differential-oracle re-solves.
-  const solver::LpProblem& problem() const { return session_->problem(); }
 
  private:
   double node_row_rhs(std::size_t r, double node_in0) const;

@@ -132,7 +132,7 @@ std::optional<Anomaly> detect_ft_budget_pressure(
   a.threshold = options.ft_budget_max_fraction;
   a.detail = "FT update budget exhausted on " + fmt(fraction * 100.0) +
              "% of " + std::to_string(resumes) +
-             " resident resumes (patch bursts outgrow ft_max_updates)";
+             " resident resumes (patch bursts outgrow the FT update budget)";
   return a;
 }
 

@@ -62,7 +62,7 @@ struct AnomalyOptions {
   // same min-solves floor). Resumes that exhaust the patch-repair update
   // budget fall back to a full refactorization — correct but paying the
   // cost sessions exist to amortize; a sustained spike means the patch
-  // bursts outgrew `ft_max_updates` for this workload.
+  // bursts outgrew the min(96, m/4+1) update budget for this workload.
   double ft_budget_max_fraction = 0.5;
 
   // Re-plan storm: fire when more than `replan_storm_max_steps` horizon steps

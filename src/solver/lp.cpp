@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string_view>
 
 #include "solver/revised.h"
 #include "util/check.h"
@@ -18,23 +17,6 @@ const char* to_string(LpStatus status) {
     case LpStatus::IterLimit: return "iteration-limit";
   }
   return "?";
-}
-
-const char* to_string(LpPricing pricing) {
-  switch (pricing) {
-    case LpPricing::Dantzig: return "dantzig";
-    case LpPricing::PartialDevex: return "partial_devex";
-  }
-  return "?";
-}
-
-bool parse_lp_pricing(const char* name, LpPricing* out) {
-  if (name == nullptr || out == nullptr) return false;
-  const std::string_view s(name);
-  if (s == "dantzig") *out = LpPricing::Dantzig;
-  else if (s == "partial_devex") *out = LpPricing::PartialDevex;
-  else return false;
-  return true;
 }
 
 std::size_t LpProblem::add_variable(double lo, double hi, double obj) {
@@ -307,7 +289,7 @@ void SimplexSolver::price_out_objective() {
 }
 
 bool SimplexSolver::choose_entering(bool bland, std::size_t& enter, int& dir) const {
-  const double tol = opt_.tolerance;
+  const double tol = kLpTolerance;
   double best = tol;
   bool found = false;
   for (std::size_t v = 0; v < n_total_; ++v) {
@@ -370,7 +352,7 @@ void SimplexSolver::apply_pivot(std::size_t enter, int dir, std::size_t pivot_ro
 }
 
 bool SimplexSolver::iterate(bool phase1) {
-  const double tol = opt_.tolerance;
+  const double tol = kLpTolerance;
   // Switch to Bland's anti-cycling rule if Dantzig pricing stalls.
   const std::size_t bland_after = 10 * (m_ + n_total_) + 500;
   std::size_t local_iter = 0;
@@ -393,7 +375,7 @@ bool SimplexSolver::iterate(bool phase1) {
     for (std::size_t r = 0; r < m_; ++r) {
       const double w = dir * tab_[r][enter];
       const std::size_t bvar = basis_[r];
-      if (w > opt_.pivot_tolerance) {
+      if (w > kLpPivotTolerance) {
         const double limit = xb_[r] / w;  // basic variable reaches 0
         if (limit < delta - tol ||
             (limit < delta + tol && pivot_row >= 0 &&
@@ -402,7 +384,7 @@ bool SimplexSolver::iterate(bool phase1) {
           pivot_row = static_cast<std::ptrdiff_t>(r);
           leaving_at_upper = false;
         }
-      } else if (w < -opt_.pivot_tolerance && std::isfinite(ub_[bvar])) {
+      } else if (w < -kLpPivotTolerance && std::isfinite(ub_[bvar])) {
         const double limit = (ub_[bvar] - xb_[r]) / (-w);  // basic reaches ub
         if (limit < delta - tol ||
             (limit < delta + tol && pivot_row >= 0 &&
@@ -537,20 +519,23 @@ LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
   } else {
     sol = internal::solve_lp_revised(problem, options);
   }
-  if (auto* reg = options.telemetry) {
-    reg->count("lp.solves");
-    reg->count("lp.iterations", sol.iterations);
-    if (options.warm_start != nullptr && !options.warm_start->empty()) {
-      reg->count(sol.warm_used ? "lp.warm_starts" : "lp.warm_rejects");
-    }
-    const char* bucket = sol.iterations <= 4     ? "lp.iters.le_4"
-                         : sol.iterations <= 16  ? "lp.iters.le_16"
-                         : sol.iterations <= 64  ? "lp.iters.le_64"
-                         : sol.iterations <= 256 ? "lp.iters.le_256"
-                                                 : "lp.iters.gt_256";
-    reg->count(bucket);
-  }
+  if (options.telemetry) internal::count_solve(*options.telemetry, sol);
   return sol;
 }
+
+namespace internal {
+
+void count_solve(util::telemetry::Registry& reg, const LpSolution& sol) {
+  reg.count("lp.solves");
+  reg.count("lp.iterations", sol.iterations);
+  const char* bucket = sol.iterations <= 4     ? "lp.iters.le_4"
+                       : sol.iterations <= 16  ? "lp.iters.le_16"
+                       : sol.iterations <= 64  ? "lp.iters.le_64"
+                       : sol.iterations <= 256 ? "lp.iters.le_256"
+                                               : "lp.iters.gt_256";
+  reg.count(bucket);
+}
+
+}  // namespace internal
 
 }  // namespace tapo::solver

@@ -13,13 +13,17 @@
 // Two engines share this interface (LpOptions::engine):
 //   * Revised (default): revised simplex over an LU-factorized basis with
 //     in-place Forrest–Tomlin updates and budgeted refactorization, sparse
-//     column access, and warm starts from an exported LpBasis (a
-//     dual-simplex phase absorbs RHS/bound changes). This is what makes the CRAC setpoint sweep
-//     and the recovery re-plans cheap: neighboring grid points differ mostly
-//     in the RHS, so the previous optimal basis is a few pivots from optimal.
-//   * Dense: the original dense-tableau implementation, kept as a
-//     differential-testing oracle and as the engine for the final re-solve
-//     at a selected grid point (engine-independent published plans).
+//     column access, and partial-Devex pricing (Bland's rule on stalls).
+//     solve_lp runs it cold; warm starts from an exported LpBasis go
+//     through LpSession::solve(seed) (solver/session.h), where a
+//     dual-simplex phase absorbs RHS/bound changes. That is what makes the
+//     CRAC setpoint sweep and the recovery re-plans cheap: neighboring grid
+//     points differ mostly in the RHS, so the previous optimal basis is a
+//     few pivots from optimal.
+//   * Dense: the original dense-tableau implementation (Dantzig pricing),
+//     kept as a differential-testing oracle and as the engine for the final
+//     re-solve at a selected grid point (engine-independent published
+//     plans).
 // See docs/SOLVER.md for the algorithmic details and invariants.
 //
 // Conventions: maximize c^T x subject to rows (<=, =, >=) and box bounds
@@ -41,6 +45,11 @@ namespace tapo::solver {
 // Sentinel for "no upper bound" in add_variable.
 inline constexpr double kLpInfinity = std::numeric_limits<double>::infinity();
 
+// Feasibility / optimality tolerance and minimum acceptable pivot magnitude,
+// shared by both engines.
+inline constexpr double kLpTolerance = 1e-9;
+inline constexpr double kLpPivotTolerance = 1e-8;
+
 // Row sense of a constraint: a^T x (<= | = | >=) rhs.
 enum class Relation { LessEq, Equal, GreaterEq };
 
@@ -56,34 +65,6 @@ const char* to_string(LpStatus status);
 // Which simplex implementation solve_lp runs (see file comment).
 enum class LpEngine { Revised, Dense };
 
-// Pricing rule of the revised engine (docs/SOLVER.md §8). The dense oracle
-// always prices with Dantzig. Pricing changes only the pivot path — never
-// the optimality certificate or the canonically extracted solution of a
-// given final basis — so either rule may be A/B'd freely (TAPO_LP_PRICING in
-// the bench binaries).
-//   * Dantzig: most-negative reduced cost, full scan. The original rule,
-//     bit-exact on the historical pivot paths — it anchors the
-//     differential suites and stays the fastest measured rule on the
-//     patch-heavy full-grid sweeps, where the rule-independent dual
-//     repair scans dominate pricing time (SOLVER.md §6b).
-//   * PartialDevex (default): Devex reference-framework weights (candidates
-//     score d^2 / weight, favoring directions of steep actual improvement)
-//     over a candidate list holding the best-scoring ~2*sqrt(#classes)
-//     column classes of the last full scan. Slacks are always priced; a
-//     dry list triggers a full scan that both selects the entering column
-//     and rebuilds the list, so the optimality certificate is identical to
-//     a full scan's. Measured
-//     fastest on the production coarse-to-fine path, by a margin that
-//     grows with scale (≈5% at 500 nodes to 10% at 1500 — SOLVER.md §6b):
-//     refinement chains keep its pivot quality at parity with a full scan
-//     while the class count it skips grows with the node count.
-enum class LpPricing { Dantzig, PartialDevex };
-
-// Human-readable pricing name ("dantzig", ...); parse_lp_pricing inverts it
-// (returns false on an unknown name, leaving `out` untouched).
-const char* to_string(LpPricing pricing);
-bool parse_lp_pricing(const char* name, LpPricing* out);
-
 // Basis status of one variable in an exported basis. The slot order is:
 // structural variables (problem order) first, then one logical/slack
 // variable per constraint row.
@@ -92,8 +73,8 @@ enum class LpBasisStatus : unsigned char { AtLower, AtUpper, Basic };
 // An exportable/importable simplex basis — the warm-start currency. A basis
 // captured from one LP stays meaningful for any LP with the same variable
 // and row structure (bounds, RHS and coefficients may change; that is
-// exactly the CRAC-grid / recovery re-solve situation). The revised engine
-// validates an imported basis (size, basic count, factorizability) and
+// exactly the CRAC-grid / recovery re-solve situation). LpSession::solve
+// validates an imported seed (size, basic count, factorizability) and
 // silently falls back to a cold start when it does not fit.
 struct LpBasis {
   std::vector<LpBasisStatus> status;  // num_vars + num_constraints entries
@@ -169,45 +150,14 @@ class LpProblem {
   std::vector<double> rhs_;
 };
 
-// Numerical knobs for solve_lp; the defaults suit this repo's LP sizes
-// (hundreds of rows, thousands of columns) and are used everywhere.
+// What callers choose for solve_lp. Everything else — tolerances, the
+// Forrest–Tomlin update budget, the pricing rule — is a fixed property of
+// the engines (kLpTolerance, kLpPivotTolerance, RevisedCore's kFt*).
 struct LpOptions {
-  // Hard iteration cap; 0 means "auto" (50 * (rows + cols) + 2000).
-  std::size_t max_iterations = 0;
-  // Feasibility / optimality tolerance.
-  double tolerance = 1e-9;
-  // Minimum acceptable pivot magnitude.
-  double pivot_tolerance = 1e-8;
   // Which simplex implementation runs (see file comment).
   LpEngine engine = LpEngine::Revised;
-  // Revised engine: entering-variable pricing rule (see LpPricing). Partial
-  // Devex is the default — measured fastest on the coarse-to-fine sweeps
-  // the production pipeline runs, 5-10% over Dantzig growing with scale
-  // (SOLVER.md §6b); Dantzig (fastest on patch-heavy full-grid sweeps, and
-  // the bit-exact historical pivot path) is selectable for A/B runs. Either
-  // rule yields the same published plans (canonical extraction + the dense
-  // final re-solve).
-  LpPricing pricing = LpPricing::PartialDevex;
-  // Revised engine, Forrest–Tomlin factor updates (one in-place column
-  // replacement per basis change): refactorize the basis LU from scratch
-  // after this many replacements. Smaller = tighter numerics, more O(m^3)
-  // work. Must be >= 1.
-  std::size_t ft_max_updates = 96;
-  // Forrest–Tomlin: refactorize once update fill-in grows the stored factor
-  // entries beyond this multiple of the post-refactorization baseline.
-  // Must be >= 1.0.
-  double ft_fill_factor = 4.0;
-  // Forrest–Tomlin: reject an update (and refactorize) when the emerging
-  // diagonal is below this fraction of max(1, ||spike||_inf). Must be in
-  // (0, 1).
-  double ft_pivot_tolerance = 1e-7;
-  // Optional warm-start basis (non-owning; must outlive the solve). Only the
-  // revised engine honors it: an accepted basis skips phase 1 entirely,
-  // entering either primal phase 2 (already primal feasible) or a dual
-  // simplex phase (primal infeasible after an RHS/bound change but dual
-  // feasible). A basis that does not fit the problem falls back to a cold
-  // start; the solve result is valid either way.
-  const LpBasis* warm_start = nullptr;
+  // Hard iteration cap; 0 means "auto" (50 * (rows + cols) + 2000).
+  std::size_t max_iterations = 0;
   // Optional lp.* metrics sink (docs/OBSERVABILITY.md): solves, iterations,
   // warm-start accepts/rejects, refactorizations, fallbacks, and a bucketed
   // per-solve iteration histogram. Never changes the solved result.
@@ -234,7 +184,8 @@ struct LpSolution {
   // re-solve that lands on the same basis reproduces x and objective
   // bit-for-bit.
   LpBasis basis;
-  // True when an imported warm_start basis was accepted and used.
+  // True when the solve started from a warm basis (an LpSession seed or
+  // resident state) and kept it; always false from solve_lp.
   bool warm_used = false;
 
   bool optimal() const { return status == LpStatus::Optimal; }

@@ -17,10 +17,13 @@
 // FTRAN/BTRAN stay two sparse triangular solves plus scalar eta
 // applications regardless of how dense the replaced columns were. A
 // stability monitor (emerging-diagonal test) and a fill/update budget
-// (LpOptions::ft_max_updates, ft_fill_factor) demote the update chain to a
+// (RevisedCore::kFtMaxUpdates, kFtFillFactor) demote the update chain to a
 // from-scratch refactorization.
 //
-// Warm starts: an imported LpBasis is validated (slot count, exactly m
+// Pricing is partial Devex over a candidate list of column classes, with
+// Bland's lowest-index rule once a phase stalls (docs/SOLVER.md §8).
+//
+// Warm starts: an imported seed LpBasis is validated (slot count, exactly m
 // basic variables, factorizable basis matrix); on acceptance phase 1 is
 // skipped entirely and the solve enters primal phase 2 directly (still
 // primal feasible) or a dual simplex phase (primal infeasible after an
@@ -35,12 +38,12 @@
 // on the final (basis set, nonbasic statuses), not on the pivot path, so a
 // warm re-solve landing on the same basis is bit-identical to a cold one.
 //
-// Persistent sessions (solver/session.h) reuse this same class across
-// solves: setup() standardizes once, patch_*() edit the standardized arrays
-// in place, and solve_persistent() resumes the previous solve's basis and
-// factors, repairing them with Forrest–Tomlin column replacements instead
-// of refactorizing — see the notes on apply_pending_updates below
-// and docs/SOLVER.md §7.
+// solve_lp_revised and persistent sessions (solver/session.h) share one
+// driver: the constructor standardizes once, patch_*() edit the
+// standardized arrays in place, and solve() resumes the previous solve's
+// basis and factors, repairing them with Forrest–Tomlin column replacements
+// instead of refactorizing — see the notes on apply_pending_updates below
+// and docs/SOLVER.md §7. A one-shot solve is a core's first, cold solve.
 #include "solver/revised.h"
 
 #include <algorithm>
@@ -57,14 +60,13 @@
 
 namespace tapo::solver::internal {
 
-void RevisedCore::standardize() {
+RevisedCore::RevisedCore(const LpProblem& p, const LpOptions& options)
+    : p_(p), reg_(options.telemetry) {
+  standardize(options.max_iterations);
+}
+
+void RevisedCore::standardize(std::size_t max_iterations) {
   util::telemetry::ScopedTimer timer(reg_, "lp.phase.standardize");
-  TAPO_CHECK_MSG(opt_.ft_max_updates >= 1,
-                 "LpOptions::ft_max_updates must be >= 1");
-  TAPO_CHECK_MSG(opt_.ft_fill_factor >= 1.0,
-                 "LpOptions::ft_fill_factor must be >= 1.0");
-  TAPO_CHECK_MSG(opt_.ft_pivot_tolerance > 0.0 && opt_.ft_pivot_tolerance < 1.0,
-                 "LpOptions::ft_pivot_tolerance must be in (0, 1)");
   m_ = p_.num_constraints();
   n_struct_ = p_.num_vars();
   slack0_ = n_struct_;
@@ -141,27 +143,24 @@ void RevisedCore::standardize() {
   }
 
   max_iterations_ =
-      opt_.max_iterations ? opt_.max_iterations : 50 * (m_ + n_total_) + 2000;
+      max_iterations ? max_iterations : 50 * (m_ + n_total_) + 2000;
 
   build_col_classes();
 
-  if (session_mode_) {
-    // Session bookkeeping: lo_ mirrors the structural lower bounds and
-    // rhs_shift_ the standardized-coefficient shift sum, so every patch can
-    // maintain b_[r] = rel_sign_[r] * rhs_raw[r] - rhs_shift_[r] in O(row)
-    // or O(column) work without replaying the standardization.
-    lo_.resize(n_struct_);
-    for (std::size_t v = 0; v < n_struct_; ++v) lo_[v] = p_.lower_bound(v);
-    rhs_shift_.assign(m_, 0.0);
-    for (std::size_t v = 0; v < n_struct_; ++v) {
-      if (lo_[v] == 0.0) continue;
-      for (std::size_t k = col_start_[v]; k < col_start_[v + 1]; ++k) {
-        rhs_shift_[col_row_[k]] += col_val_[k] * lo_[v];
-      }
+  // Patch bookkeeping: lo_ mirrors the structural lower bounds and
+  // rhs_shift_ the standardized-coefficient shift sum, so every patch can
+  // maintain b_[r] = rel_sign_[r] * rhs_raw[r] - rhs_shift_[r] in O(row) or
+  // O(column) work without replaying the standardization.
+  lo_.resize(n_struct_);
+  for (std::size_t v = 0; v < n_struct_; ++v) lo_[v] = p_.lower_bound(v);
+  rhs_shift_.assign(m_, 0.0);
+  for (std::size_t v = 0; v < n_struct_; ++v) {
+    if (lo_[v] == 0.0) continue;
+    for (std::size_t k = col_start_[v]; k < col_start_[v + 1]; ++k) {
+      rhs_shift_[col_row_[k]] += col_val_[k] * lo_[v];
     }
-    col_dirty_.assign(n_struct_, 0);
-    dirty_cols_.clear();
   }
+  col_dirty_.assign(n_struct_, 0);
 }
 
 void RevisedCore::build_col_classes() {
@@ -370,13 +369,11 @@ bool RevisedCore::refactorize() {
     return false;
   }
   spike_valid_ = false;
-  if (session_mode_) {
-    // A from-scratch rebuild reads the patched CSC directly, so any queued
-    // column updates are incorporated for free.
-    for (const std::size_t v : dirty_cols_) col_dirty_[v] = 0;
-    dirty_cols_.clear();
-    ++session_.refactorizations;
-  }
+  // A from-scratch rebuild reads the patched CSC directly, so any queued
+  // column updates are incorporated for free.
+  for (const std::size_t v : dirty_cols_) col_dirty_[v] = 0;
+  dirty_cols_.clear();
+  ++session_.refactorizations;
   if (reg_) reg_->count("lp.refactorizations");
   return true;
 }
@@ -425,17 +422,17 @@ bool RevisedCore::push_update_and_maybe_refactor(std::size_t pivot_row) {
   TAPO_CHECK_MSG(spike_valid_, "FT update without a captured entering spike");
   spike_valid_ = false;
   const FtFactorization::Update res =
-      ft_->replace_column(pivot_row, spike_, opt_.ft_pivot_tolerance);
+      ft_->replace_column(pivot_row, spike_, kFtPivotTolerance);
   if (res == FtFactorization::Update::kUnstable) {
     // The rejected update left the factors unusable; rebuild from basis_
     // (which pivot() already updated, so the rebuild is the new basis).
     if (reg_) reg_->count("lp.ft.stability_rejects");
-    if (session_mode_) ++session_.stability_refactorizations;
+    ++session_.stability_refactorizations;
     return refactorize();
   }
   if (reg_) reg_->count("lp.ft.updates");
-  const bool fill = ft_->fill_exceeded(opt_.ft_fill_factor);
-  if (fill || ft_->updates() >= opt_.ft_max_updates) {
+  const bool fill = ft_->fill_exceeded(kFtFillFactor);
+  if (fill || ft_->updates() >= kFtMaxUpdates) {
     if (fill && reg_) reg_->count("lp.ft.fill_refactorizations");
     if (!refactorize()) return false;
   }
@@ -460,55 +457,45 @@ bool RevisedCore::pivot(std::size_t enter, int dir, std::size_t pivot_row,
 
 bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
                                  std::size_t& enter, int& dir) {
-  const double tol = opt_.tolerance;
-  const bool devex = opt_.pricing != LpPricing::Dantzig;
+  const double tol = kLpTolerance;
+  // A candidate is a nonbasic, non-fixed column whose reduced cost d moves
+  // the objective up from its current bound by more than tol.
+  const auto eligible = [&](std::size_t v, double d) -> bool {
+    if (status_[v] == VarStatus::Basic) return false;
+    if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) return false;
+    return (status_[v] == VarStatus::AtLower && d > tol) ||
+           (status_[v] == VarStatus::AtUpper && d < -tol);
+  };
+  // Devex scores d^2 / weight; the best-scoring candidate seen so far wins.
   bool found = false;
-  // Dantzig keeps the historical "gain > best with best seeded at tol"
-  // comparison so its pivot paths match the pre-pricing engine exactly;
-  // Devex scores d^2 / weight among candidates that pass the same tol
-  // eligibility test.
-  double best = devex ? 0.0 : tol;
-  const auto consider = [&](std::size_t v, double d) {
-    if (status_[v] == VarStatus::Basic) return;
-    if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) return;  // fixed
-    int candidate_dir;
-    double gain;
-    if (status_[v] == VarStatus::AtLower && d > tol) {
-      gain = d;
-      candidate_dir = +1;
-    } else if (status_[v] == VarStatus::AtUpper && d < -tol) {
-      gain = -d;
-      candidate_dir = -1;
-    } else {
-      return;
-    }
-    const double score = devex ? d * d / devex_w_[v] : gain;
+  double best = 0.0;
+  const auto consider = [&](std::size_t v, double d) -> bool {
+    if (!eligible(v, d)) return false;
+    const double score = d * d / devex_w_[v];
     if (!found || score > best) {
       best = score;
       enter = v;
-      dir = candidate_dir;
+      dir = d > 0.0 ? +1 : -1;
       found = true;
     }
+    return true;
   };
 
-  if (bland || opt_.pricing == LpPricing::Dantzig || units_.empty()) {
+  if (bland || units_.empty()) {
     // Full ascending scan. Under Bland the first eligible index wins —
     // windowing is bypassed entirely so the anti-cycling argument (strictly
-    // lowest eligible index) is untouched by the pricing rule.
+    // lowest eligible index) is untouched by the candidate list.
     for (std::size_t v = 0; v < n_total_; ++v) {
       if (status_[v] == VarStatus::Basic) continue;
       if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) continue;
       const double d = cost[v] - priced_dot(y_, v);
-      if (bland) {
-        if ((status_[v] == VarStatus::AtLower && d > tol) ||
-            (status_[v] == VarStatus::AtUpper && d < -tol)) {
-          enter = v;
-          dir = d > 0.0 ? +1 : -1;
-          return true;
-        }
-        continue;
+      if (!bland) {
+        consider(v, d);
+      } else if (eligible(v, d)) {
+        enter = v;
+        dir = d > 0.0 ? +1 : -1;
+        return true;
       }
-      consider(v, d);
     }
     return found;
   }
@@ -521,34 +508,22 @@ bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
   // iteration. Only when the list (plus the slack sweep) is dry does a full
   // scan run — it selects the global best AND harvests the next list. A dry
   // full scan is a complete scan, so the optimality certificate is
-  // identical to the full-scan rules'.
-  const auto eligible_gain = [&](std::size_t v, double d) -> bool {
-    if (status_[v] == VarStatus::Basic) return false;
-    if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) return false;
-    return (status_[v] == VarStatus::AtLower && d > tol) ||
-           (status_[v] == VarStatus::AtUpper && d < -tol);
-  };
-  // Scans one unit; returns whether any member is still eligible (dead
-  // units are pruned from the list so later iterations skip their dots).
-  const auto scan_unit = [&](std::size_t u) -> bool {
-    const std::size_t rep = units_[u];
-    const double dot = priced_dot(y_, rep);
-    bool alive = false;
-    for (std::size_t k = unit_start_[u]; k < unit_start_[u + 1]; ++k) {
-      const std::size_t v = unit_cols_[k];
-      const double d = cost[v] - dot;
-      if (!eligible_gain(v, d)) continue;
-      alive = true;
-      consider(v, d);
-    }
-    return alive;
-  };
+  // identical to a full scan's.
   for (std::size_t v = slack0_; v < n_total_; ++v) {
     consider(v, cost[v] - col_dot(y_, v));
   }
+  // Scans the list; units with no eligible member left are pruned so later
+  // iterations skip their dots.
   std::size_t alive = 0;
   for (std::size_t i = 0; i < cand_units_.size(); ++i) {
-    if (scan_unit(cand_units_[i])) cand_units_[alive++] = cand_units_[i];
+    const std::size_t u = cand_units_[i];
+    const double dot = priced_dot(y_, units_[u]);
+    bool unit_alive = false;
+    for (std::size_t k = unit_start_[u]; k < unit_start_[u + 1]; ++k) {
+      const std::size_t v = unit_cols_[k];
+      if (consider(v, cost[v] - dot)) unit_alive = true;
+    }
+    if (unit_alive) cand_units_[alive++] = u;
   }
   cand_units_.resize(alive);
   if (found && 2 * alive >= price_window_ &&
@@ -566,47 +541,35 @@ bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
   // list.
   ++n_window_refreshes_;
   pivots_since_rebuild_ = 0;
-  const std::size_t nu = units_.size();
   struct UnitScore {
     double score;
     std::size_t unit;
   };
-  std::vector<UnitScore> eligible;
-  for (std::size_t u = 0; u < nu; ++u) {
-    const std::size_t rep = units_[u];
-    const double dot = priced_dot(y_, rep);
+  std::vector<UnitScore> scored;
+  for (std::size_t u = 0; u < units_.size(); ++u) {
+    const double dot = priced_dot(y_, units_[u]);
     double unit_best = 0.0;
     bool unit_found = false;
     for (std::size_t k = unit_start_[u]; k < unit_start_[u + 1]; ++k) {
       const std::size_t v = unit_cols_[k];
       const double d = cost[v] - dot;
-      if (status_[v] == VarStatus::Basic) continue;
-      if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) continue;
-      double gain;
-      if (status_[v] == VarStatus::AtLower && d > tol) {
-        gain = d;
-      } else if (status_[v] == VarStatus::AtUpper && d < -tol) {
-        gain = -d;
-      } else {
-        continue;
-      }
-      const double score = devex ? d * d / devex_w_[v] : gain;
+      if (!consider(v, d)) continue;
+      const double score = d * d / devex_w_[v];
       if (!unit_found || score > unit_best) {
         unit_best = score;
         unit_found = true;
       }
-      consider(v, d);
     }
-    if (unit_found) eligible.push_back({unit_best, u});
+    if (unit_found) scored.push_back({unit_best, u});
   }
-  const std::size_t keep = std::min(price_window_, eligible.size());
-  std::partial_sort(eligible.begin(),
-                    eligible.begin() + static_cast<std::ptrdiff_t>(keep),
-                    eligible.end(), [](const UnitScore& a, const UnitScore& b) {
+  const std::size_t keep = std::min(price_window_, scored.size());
+  std::partial_sort(scored.begin(),
+                    scored.begin() + static_cast<std::ptrdiff_t>(keep),
+                    scored.end(), [](const UnitScore& a, const UnitScore& b) {
                       return a.score > b.score;
                     });
   cand_units_.clear();
-  for (std::size_t i = 0; i < keep; ++i) cand_units_.push_back(eligible[i].unit);
+  for (std::size_t i = 0; i < keep; ++i) cand_units_.push_back(scored[i].unit);
   if (!found) ++n_full_scan_fallbacks_;  // certified: no candidate anywhere
   return found;
 }
@@ -619,9 +582,9 @@ RevisedCore::Step RevisedCore::primal_iterate(bool phase1,
     RevisedCore* core;
     ~Flusher() { core->flush_iterate_stats(); }
   } flusher{this};
-  const double tol = opt_.tolerance;
+  const double tol = kLpTolerance;
   // Switch to Bland's anti-cycling rule if pricing stalls (same threshold
-  // as the dense oracle, applied under every pricing rule).
+  // as the dense oracle).
   const std::size_t bland_after = 10 * (m_ + n_total_) + 500;
   std::size_t local_iter = 0;
   bool y_valid = false;  // bound flips keep y; only pivots invalidate it
@@ -661,7 +624,7 @@ RevisedCore::Step RevisedCore::primal_iterate(bool phase1,
     for (std::size_t r = 0; r < m_; ++r) {
       const double wd = dir * w_[r];
       const std::size_t bvar = basis_[r];
-      if (wd > opt_.pivot_tolerance) {
+      if (wd > kLpPivotTolerance) {
         const double limit = xb_[r] / wd;  // basic variable reaches 0
         if (limit < delta - tol ||
             (limit < delta + tol && pivot_row >= 0 &&
@@ -670,7 +633,7 @@ RevisedCore::Step RevisedCore::primal_iterate(bool phase1,
           pivot_row = static_cast<std::ptrdiff_t>(r);
           leaving_at_upper = false;
         }
-      } else if (wd < -opt_.pivot_tolerance && std::isfinite(ub_[bvar])) {
+      } else if (wd < -kLpPivotTolerance && std::isfinite(ub_[bvar])) {
         const double limit = (ub_[bvar] - xb_[r]) / (-wd);  // basic reaches ub
         if (limit < delta - tol ||
             (limit < delta + tol && pivot_row >= 0 &&
@@ -704,19 +667,17 @@ RevisedCore::Step RevisedCore::primal_iterate(bool phase1,
       continue;
     }
     const std::size_t leaving = basis_[static_cast<std::size_t>(pivot_row)];
-    if (opt_.pricing != LpPricing::Dantzig) {
-      // Approximate Devex update from the pivot element of the entering
-      // FTRAN column: the leaving variable re-enters the nonbasic pool with
-      // the entering column's weight projected through the pivot. Overflow
-      // resets the whole framework to the unit reference.
-      const double ar = w_[static_cast<std::size_t>(pivot_row)];
-      const double gl =
-          std::max(std::max(devex_w_[enter], 1.0) / (ar * ar), 1.0);
-      if (gl > kDevexResetThreshold) {
-        reset_devex(/*count_overflow=*/true);
-      } else {
-        devex_w_[leaving] = gl;
-      }
+    // Approximate Devex update from the pivot element of the entering
+    // FTRAN column: the leaving variable re-enters the nonbasic pool with
+    // the entering column's weight projected through the pivot. Overflow
+    // resets the whole framework to the unit reference.
+    const double ar = w_[static_cast<std::size_t>(pivot_row)];
+    const double gl =
+        std::max(std::max(devex_w_[enter], 1.0) / (ar * ar), 1.0);
+    if (gl > kDevexResetThreshold) {
+      reset_devex(/*count_overflow=*/true);
+    } else {
+      devex_w_[leaving] = gl;
     }
     if (!pivot(enter, dir, static_cast<std::size_t>(pivot_row), delta,
                leaving_at_upper)) {
@@ -725,7 +686,7 @@ RevisedCore::Step RevisedCore::primal_iterate(bool phase1,
       }
       return Step::Numerical;
     }
-    if (opt_.pricing == LpPricing::PartialDevex && !units_.empty()) {
+    if (!units_.empty()) {
       ++pivots_since_rebuild_;
       if (leaving < n_struct_) {
         // The leaving variable just turned nonbasic with a freshly flipped
@@ -770,14 +731,14 @@ void RevisedCore::make_dual_feasible() {
     if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) continue;  // fixed
     const double d = obj2_[v] - priced_dot(y_, v);
     d_[v] = d;
-    if (status_[v] == VarStatus::AtLower && d > opt_.tolerance) {
+    if (status_[v] == VarStatus::AtLower && d > kLpTolerance) {
       if (std::isfinite(ub_[v])) {
         status_[v] = VarStatus::AtUpper;
         flipped = true;
       } else {
         d_[v] = 0.0;  // dual phase-1 shift
       }
-    } else if (status_[v] == VarStatus::AtUpper && d < -opt_.tolerance) {
+    } else if (status_[v] == VarStatus::AtUpper && d < -kLpTolerance) {
       status_[v] = VarStatus::AtLower;
       flipped = true;
     }
@@ -802,7 +763,6 @@ RevisedCore::Step RevisedCore::dual_iterate() {
   } flusher{this};
   const std::size_t bland_after = 10 * (m_ + n_total_) + 500;
   std::size_t local_iter = 0;
-  const bool dual_devex = opt_.pricing != LpPricing::Dantzig;
 
   struct Cand {
     std::size_t v;
@@ -818,18 +778,16 @@ RevisedCore::Step RevisedCore::dual_iterate() {
 
     Clock::time_point mark;
     if (timed) mark = Clock::now();
-    // Leaving row. Dantzig: the largest bound violation among basic
-    // variables. Devex: the largest violation^2 / row weight — the exact
-    // dual Devex rule, whose weights are maintained in O(m) per pivot from
-    // the entering FTRAN column below. Eligibility (what counts as a
-    // violation at all) is the same threshold under both rules, and the
-    // dual-ratio candidate scan stays a FULL scan under every rule — the
-    // bound-flipping ratio test needs every eligible candidate, so the
-    // partial window applies only to the primal side.
+    // Leaving row: the largest violation^2 / row weight among basic
+    // variables — the exact dual Devex rule, whose weights are maintained
+    // in O(m) per pivot from the entering FTRAN column below. The
+    // dual-ratio candidate scan stays a FULL scan — the bound-flipping
+    // ratio test needs every eligible candidate, so the partial window
+    // applies only to the primal side.
     std::ptrdiff_t r_leave = -1;
-    const double eps = std::max(opt_.tolerance, 1e-9 * bnorm_);
+    const double eps = std::max(kLpTolerance, 1e-9 * bnorm_);
     double worst = 0.0;   // violation of the selected row
-    double best_score = eps;  // selection score (== violation for Dantzig)
+    double best_score = eps;  // selection score
     bool upper_viol = false;
     for (std::size_t r = 0; r < m_; ++r) {
       double viol = -xb_[r];
@@ -840,8 +798,7 @@ RevisedCore::Step RevisedCore::dual_iterate() {
         at_upper = true;
       }
       if (viol <= eps) continue;
-      const double score =
-          dual_devex ? viol * viol / dual_devex_w_[r] : viol;
+      const double score = viol * viol / dual_devex_w_[r];
       if (r_leave < 0 || score > best_score) {
         best_score = score;
         worst = viol;
@@ -871,11 +828,11 @@ RevisedCore::Step RevisedCore::dual_iterate() {
       bool eligible = false;
       if (!upper_viol) {
         // Basic variable below zero: entering must push it up.
-        eligible = (status_[v] == VarStatus::AtLower && alpha < -opt_.pivot_tolerance) ||
-                   (status_[v] == VarStatus::AtUpper && alpha > opt_.pivot_tolerance);
+        eligible = (status_[v] == VarStatus::AtLower && alpha < -kLpPivotTolerance) ||
+                   (status_[v] == VarStatus::AtUpper && alpha > kLpPivotTolerance);
       } else {
-        eligible = (status_[v] == VarStatus::AtLower && alpha > opt_.pivot_tolerance) ||
-                   (status_[v] == VarStatus::AtUpper && alpha < -opt_.pivot_tolerance);
+        eligible = (status_[v] == VarStatus::AtLower && alpha > kLpPivotTolerance) ||
+                   (status_[v] == VarStatus::AtUpper && alpha < -kLpPivotTolerance);
       }
       if (!eligible) continue;
       cands.push_back({v, alpha, std::fabs(d_[v]) / std::fabs(alpha)});
@@ -909,7 +866,7 @@ RevisedCore::Step RevisedCore::dual_iterate() {
     for (const Cand& c : cands) {
       const double range = ub_[c.v];
       if (std::isfinite(range) &&
-          std::fabs(c.alpha) * range < remaining - opt_.tolerance) {
+          std::fabs(c.alpha) * range < remaining - kLpTolerance) {
         const double move =
             (status_[c.v] == VarStatus::AtLower) ? range : -range;
         if (!any_flip) wf_.assign(m_, 0.0);
@@ -970,24 +927,22 @@ RevisedCore::Step RevisedCore::dual_iterate() {
       if (r == rl) continue;
       xb_[r] -= theta * w_[r];
     }
-    if (dual_devex) {
-      // Exact dual Devex update from the already-computed FTRAN column:
-      // gamma_i = max(gamma_i, (alpha_i / alpha_r)^2 * gamma_r) for the
-      // staying rows, gamma_r = max(gamma_r / alpha_r^2, 1) for the pivot
-      // row. O(m) on a vector the pivot loop above already touched.
-      const double gr = std::max(dual_devex_w_[rl], 1.0);
-      const double inv2 = gr / (wr * wr);
-      double wmax = 0.0;
-      for (std::size_t r = 0; r < m_; ++r) {
-        if (r == rl) continue;
-        const double cand = w_[r] * w_[r] * inv2;
-        if (cand > dual_devex_w_[r]) dual_devex_w_[r] = cand;
-        wmax = std::max(wmax, dual_devex_w_[r]);
-      }
-      dual_devex_w_[rl] = std::max(inv2, 1.0);
-      if (std::max(wmax, dual_devex_w_[rl]) > kDevexResetThreshold) {
-        reset_devex(/*count_overflow=*/true);
-      }
+    // Exact dual Devex update from the already-computed FTRAN column:
+    // gamma_i = max(gamma_i, (alpha_i / alpha_r)^2 * gamma_r) for the
+    // staying rows, gamma_r = max(gamma_r / alpha_r^2, 1) for the pivot
+    // row. O(m) on a vector the pivot loop above already touched.
+    const double gr = std::max(dual_devex_w_[rl], 1.0);
+    const double inv2 = gr / (wr * wr);
+    double wmax = 0.0;
+    for (std::size_t r = 0; r < m_; ++r) {
+      if (r == rl) continue;
+      const double cand = w_[r] * w_[r] * inv2;
+      if (cand > dual_devex_w_[r]) dual_devex_w_[r] = cand;
+      wmax = std::max(wmax, dual_devex_w_[r]);
+    }
+    dual_devex_w_[rl] = std::max(inv2, 1.0);
+    if (std::max(wmax, dual_devex_w_[rl]) > kDevexResetThreshold) {
+      reset_devex(/*count_overflow=*/true);
     }
     const double enter_old =
         (status_[enter] == VarStatus::AtUpper) ? ub_[enter] : 0.0;
@@ -1053,7 +1008,7 @@ bool RevisedCore::driveout_artificials() {
 RevisedCore::Outcome RevisedCore::finish_from_basis(bool repair_primal) {
   if (repair_primal &&
       // Relative feasibility test: compute_xb's residual scales with |b|.
-      primal_infeasibility() > std::max(10 * opt_.tolerance, 1e-10 * bnorm_)) {
+      primal_infeasibility() > std::max(10 * kLpTolerance, 1e-10 * bnorm_)) {
     make_dual_feasible();
     const Step sd = dual_iterate();
     if (sd == Step::Numerical) return Outcome::Restart;
@@ -1093,16 +1048,6 @@ RevisedCore::Outcome RevisedCore::cold_attempt() {
   // the pre-session engine — phase-1 leftovers below the acceptance
   // threshold must not trigger a dual phase here.
   return finish_from_basis(/*repair_primal=*/false);
-}
-
-RevisedCore::Outcome RevisedCore::solve_once(bool use_warm) {
-  warm_used_ = false;
-  if (use_warm && try_warm(*opt_.warm_start)) {
-    warm_used_ = true;
-    return finish_from_basis(/*repair_primal=*/true);
-  }
-  if (use_warm) return Outcome::Restart;  // rejected basis: count fallback
-  return cold_attempt();
 }
 
 LpSolution RevisedCore::extract(LpStatus status) {
@@ -1170,46 +1115,17 @@ LpSolution RevisedCore::extract(LpStatus status) {
   return sol;
 }
 
-LpSolution RevisedCore::run() {
-  standardize();
-  const bool want_warm = opt_.warm_start != nullptr && !opt_.warm_start->empty();
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const Outcome out = solve_once(want_warm && attempt == 0);
-    if (out == Outcome::Restart) {
-      if (reg_) reg_->count("lp.fallbacks");
-      warm_used_ = false;
-      continue;
-    }
-    switch (out) {
-      case Outcome::Optimal: return extract(LpStatus::Optimal);
-      case Outcome::Infeasible: return extract(LpStatus::Infeasible);
-      case Outcome::Unbounded: return extract(LpStatus::Unbounded);
-      default: return extract(LpStatus::IterLimit);
-    }
-  }
-  // Two attempts hit numerical trouble; report the cap-style failure so
-  // callers treat the point as unusable rather than silently wrong.
-  return extract(LpStatus::IterLimit);
-}
-
-// ---- persistent-session implementation ----
-
-void RevisedCore::setup() {
-  TAPO_CHECK_MSG(!session_mode_, "setup() must run exactly once");
-  session_mode_ = true;
-  standardize();
-}
+// ---- patches ----
 
 void RevisedCore::patch_rhs(std::size_t r, double rhs) {
-  TAPO_CHECK_MSG(session_mode_ && r < m_, "patch_rhs: bad row / no setup()");
+  TAPO_CHECK_MSG(r < m_, "patch_rhs: bad row");
   b_[r] = rel_sign_[r] * rhs - rhs_shift_[r];
   b_dirty_ = true;
 }
 
 void RevisedCore::patch_coefficient(std::size_t r, std::size_t v,
                                     double coeff) {
-  TAPO_CHECK_MSG(session_mode_ && r < m_ && v < n_struct_,
-                 "patch_coefficient: bad row/var / no setup()");
+  TAPO_CHECK_MSG(r < m_ && v < n_struct_, "patch_coefficient: bad row/var");
   // The CSC column is row-sorted, so the entry is found by binary search.
   const auto first = col_row_.begin() + static_cast<std::ptrdiff_t>(col_start_[v]);
   const auto last = col_row_.begin() + static_cast<std::ptrdiff_t>(col_start_[v + 1]);
@@ -1239,8 +1155,7 @@ void RevisedCore::patch_coefficient(std::size_t r, std::size_t v,
 }
 
 void RevisedCore::patch_bound(std::size_t v, double lo, double hi) {
-  TAPO_CHECK_MSG(session_mode_ && v < n_struct_,
-                 "patch_bound: bad var / no setup()");
+  TAPO_CHECK_MSG(v < n_struct_, "patch_bound: bad var");
   if (lo != lo_[v]) {
     const double dlo = lo - lo_[v];
     for (std::size_t k = col_start_[v]; k < col_start_[v + 1]; ++k) {
@@ -1261,8 +1176,7 @@ void RevisedCore::patch_bound(std::size_t v, double lo, double hi) {
 }
 
 void RevisedCore::patch_cost(std::size_t v, double obj) {
-  TAPO_CHECK_MSG(session_mode_ && v < n_struct_,
-                 "patch_cost: bad var / no setup()");
+  TAPO_CHECK_MSG(v < n_struct_, "patch_cost: bad var");
   // Dual feasibility is re-established by the resume path (dual repair or
   // primal phase 2), so a cost change needs no factor work at all.
   obj2_[v] = obj;
@@ -1274,7 +1188,7 @@ bool RevisedCore::apply_pending_updates() {
   // the already-patched CSC is cheaper (and tighter numerically) than a
   // long chain of sequential column replacements.
   const std::size_t budget =
-      std::min<std::size_t>(opt_.ft_max_updates, m_ / 4 + 1);
+      std::min<std::size_t>(kFtMaxUpdates, m_ / 4 + 1);
   if (dirty_cols_.size() + ft_->updates() >= budget) {
     // Surfaced, not silent: long resident chains (partial pricing makes
     // them longer) that keep outrunning the update budget show up as a
@@ -1311,7 +1225,7 @@ bool RevisedCore::apply_pending_updates() {
     }
     spike_valid_ = false;
     const FtFactorization::Update res =
-        ft_->replace_column(r, spike_, opt_.ft_pivot_tolerance);
+        ft_->replace_column(r, spike_, kFtPivotTolerance);
     if (res == FtFactorization::Update::kUnstable) {
       ++session_.stability_refactorizations;
       if (reg_) reg_->count("lp.ft.stability_rejects");
@@ -1320,8 +1234,8 @@ bool RevisedCore::apply_pending_updates() {
     }
     if (reg_) reg_->count("lp.ft.updates");
     ++session_.ft_updates;
-    if (ft_->updates() >= opt_.ft_max_updates ||
-        ft_->fill_exceeded(opt_.ft_fill_factor)) {
+    if (ft_->updates() >= kFtMaxUpdates ||
+        ft_->fill_exceeded(kFtFillFactor)) {
       if (!refactorize()) return false;
       break;  // remaining queue entries were absorbed by the rebuild
     }
@@ -1350,8 +1264,7 @@ bool RevisedCore::residual_ok() {
   return worst <= 1e-7 * std::max(1.0, bnorm_);
 }
 
-LpSolution RevisedCore::solve_persistent(const LpBasis* seed) {
-  TAPO_CHECK_MSG(session_mode_, "solve_persistent: setup() must run first");
+LpSolution RevisedCore::solve(const LpBasis* seed) {
   iterations_ = 0;
   // Coefficient patches may have demoted column classes; refresh the
   // candidate-list units before any pricing scan runs. Devex weights are
@@ -1369,18 +1282,16 @@ LpSolution RevisedCore::solve_persistent(const LpBasis* seed) {
   const bool have_seed = seed != nullptr && !seed->empty();
   const bool warm_available = have_seed || resident_ok_;
   warm_used_ = false;
-  bool decided = false;
   Outcome out = Outcome::Restart;
 
   if (have_seed) {
-    // Chain-head import: one refactorization, like PR 4's warm path. The
-    // import replaces the resident state wholesale (try_warm rebuilds the
-    // status vector and refactorizes, flushing any queued column updates).
+    // Seed import: one refactorization. The import replaces the resident
+    // state wholesale (try_warm rebuilds the status vector and
+    // refactorizes, flushing any queued column updates).
     if (try_warm(*seed)) {
       ++session_.seed_imports;
       warm_used_ = true;
       out = finish_from_basis(/*repair_primal=*/true);
-      decided = out != Outcome::Restart;
     }
   } else if (resident_ok_) {
     // Resident resume: no rebuild, no standardization, no import
@@ -1392,24 +1303,20 @@ LpSolution RevisedCore::solve_persistent(const LpBasis* seed) {
         ++session_.resident_resumes;
         warm_used_ = true;
         out = finish_from_basis(/*repair_primal=*/true);
-        decided = out != Outcome::Restart;
       }
     }
   }
 
-  if (!decided) {
-    if (warm_available) {
-      ++session_.fallbacks;
-      if (reg_) reg_->count("lp.fallbacks");
-    }
+  // Cold path: a core's first solve, or the replacement for an attempt that
+  // could not finish. lp.fallbacks counts every abandoned attempt that a
+  // fresh cold attempt replaces — a seed or resident state that was rejected
+  // or hit numerical trouble, and a cold attempt that hit numerical trouble.
+  // A second numerical failure of a cold attempt reports IterLimit.
+  if (out == Outcome::Restart && warm_available) ++session_.fallbacks;
+  for (int cold = 0; out == Outcome::Restart && cold < 2; ++cold) {
+    if (reg_ && (warm_available || cold > 0)) reg_->count("lp.fallbacks");
     warm_used_ = false;
     out = cold_attempt();
-    if (out == Outcome::Restart) {
-      // Mirror run(): one retry, then report the cap-style failure.
-      if (reg_) reg_->count("lp.fallbacks");
-      out = cold_attempt();
-      if (out == Outcome::Restart) out = Outcome::IterLimit;
-    }
   }
 
   LpStatus status = LpStatus::IterLimit;
@@ -1424,9 +1331,8 @@ LpSolution RevisedCore::solve_persistent(const LpBasis* seed) {
   // Resident state is reusable when the factors still describe basis_:
   // after a canonical Optimal extraction (sorted basis + fresh or already-
   // canonical LU), or after a warm Infeasible conclusion (the certificate
-  // basis is dual feasible and artificial-free — resuming from it is the
-  // session form of PR 4's certificate warm-start across an infeasible
-  // stretch of grid points).
+  // basis is dual feasible and artificial-free — resuming from it carries
+  // a warm chain across an infeasible stretch of grid points).
   resident_ok_ = (status == LpStatus::Optimal && extract_refactor_ok_) ||
                  (status == LpStatus::Infeasible && warm_used_);
   if (!resident_ok_) {
@@ -1437,8 +1343,7 @@ LpSolution RevisedCore::solve_persistent(const LpBasis* seed) {
 }
 
 LpSolution solve_lp_revised(const LpProblem& problem, const LpOptions& options) {
-  RevisedCore solver(problem, options);
-  return solver.run();
+  return RevisedCore(problem, options).solve(nullptr);
 }
 
 }  // namespace tapo::solver::internal

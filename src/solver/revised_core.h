@@ -2,19 +2,16 @@
 // LpSession. Not part of the public solver API — include solver/lp.h (one-
 // shot solves) or solver/session.h (persistent sessions) instead.
 //
-// The class has two entry points over one set of state:
-//   * run() — the one-shot path used by solve_lp: standardize, warm/cold
-//     attempts, canonical extraction. Behavior-identical to the pre-session
-//     engine (docs/SOLVER.md §1–§5).
-//   * the persistent-session interface — setup() once, then any number of
-//     patch_*() calls followed by solve_persistent(). Patches edit the
-//     resident standardized arrays in place (CSC values, shifted RHS,
-//     bounds, costs); a patched column that is currently basic is queued for
-//     an in-place Forrest–Tomlin column replacement in the resident
-//     factorization instead of a refactorization. A stability
-//     monitor (spike-pivot and residual checks) demotes updates to a
-//     refactorization and, failing that, to the cold path, so a session
-//     solve is never less correct than a fresh one (docs/SOLVER.md §7).
+// One driver serves both callers. The constructor standardizes the problem
+// once; then any number of patch_*() calls and solve() calls follow.
+// solve_lp_revised is a core that solves once, cold. An LpSession keeps the
+// core: patches edit the resident standardized arrays in place (CSC values,
+// shifted RHS, bounds, costs), and a patched column that is currently basic
+// is queued for an in-place Forrest–Tomlin column replacement in the
+// resident factorization instead of a refactorization. A stability monitor
+// (spike-pivot and residual checks) demotes updates to a refactorization
+// and, failing that, to the cold path, so a resumed solve is never less
+// correct than a fresh one (docs/SOLVER.md §7).
 #pragma once
 
 #include <cstdint>
@@ -28,15 +25,19 @@ namespace tapo::solver::internal {
 
 class RevisedCore {
  public:
-  RevisedCore(const LpProblem& p, const LpOptions& opt)
-      : p_(p), opt_(opt), reg_(opt.telemetry) {}
+  // Forrest–Tomlin budget: refactorize after this many column replacements,
+  // once update fill-in exceeds this multiple of the post-refactorization
+  // factor size, or when an update's emerging diagonal falls below this
+  // fraction of max(1, ||spike||_inf).
+  static constexpr std::size_t kFtMaxUpdates = 96;
+  static constexpr double kFtFillFactor = 4.0;
+  static constexpr double kFtPivotTolerance = 1e-7;
 
-  // One-shot solve (standardize + warm/cold attempts + canonical extract).
-  LpSolution run();
+  // Standardizes p (timed as lp.phase.standardize). p must outlive the core;
+  // options supply the iteration cap and the telemetry sink.
+  RevisedCore(const LpProblem& p, const LpOptions& options);
 
-  // ---- persistent-session interface (driven by LpSession) ----
-
-  // Counters a session accumulates across its lifetime; never reset.
+  // Counters a core accumulates across its lifetime; never reset.
   struct SessionCounters {
     std::uint64_t ft_updates = 0;        // Forrest–Tomlin column replacements
     std::uint64_t refactorizations = 0;  // LU rebuilds (any reason)
@@ -44,16 +45,12 @@ class RevisedCore {
     std::uint64_t fallbacks = 0;      // resident/seed state abandoned for cold
     std::uint64_t resident_resumes = 0;  // solves served from resident state
     std::uint64_t seed_imports = 0;      // seed basis imports
-    // Resumes whose queued patch set hit the min(ft_max_updates, m/4+1)
+    // Resumes whose queued patch set hit the min(kFtMaxUpdates, m/4+1)
     // update budget and were demoted to a refactorization. A climbing rate
     // here means patch chains outgrew the factor-update budget (soak
     // anomaly detection watches the lp.session.ft_budget_exhausted series).
     std::uint64_t ft_budget_exhausted = 0;
   };
-
-  // Standardizes the resident problem once; call before the first
-  // solve_persistent() and never again (the structure is fixed).
-  void setup();
 
   // In-place patches of the standardized arrays. The caller (LpSession)
   // applies the same patch to the LpProblem this core references, so
@@ -67,9 +64,10 @@ class RevisedCore {
   // Solves the resident (patched) problem. A non-empty seed re-imports that
   // basis (one refactorization — the cost of a seeded build); otherwise the
   // previous solve's basis and factors are resumed with pending column
-  // updates applied. Falls back to a cold solve on any validation or
-  // numerical failure. Extraction is canonical, exactly like run().
-  LpSolution solve_persistent(const LpBasis* seed);
+  // updates applied, or — on the first solve — the problem is solved cold.
+  // Falls back to a cold solve on any validation or numerical failure.
+  // Extraction is canonical: the result depends only on the final basis.
+  LpSolution solve(const LpBasis* seed);
 
   const SessionCounters& session_counters() const { return session_; }
 
@@ -79,7 +77,7 @@ class RevisedCore {
   enum class Outcome { Optimal, Infeasible, Unbounded, IterLimit, Restart };
 
   // ---- setup ----
-  void standardize();
+  void standardize(std::size_t max_iterations);
   void build_col_classes();
   void demote_col_class(std::size_t v);
   void cold_start();
@@ -162,13 +160,12 @@ class RevisedCore {
   double primal_infeasibility() const;
 
   // ---- pricing (docs/SOLVER.md §8) ----
-  // Entering-variable selection for one primal iteration: Dantzig or
-  // candidate-list partial Devex per opt_.pricing; `bland` forces the full
-  // lowest-index anti-cycling scan under every rule. Returns false when no
-  // eligible candidate exists anywhere — for the partial rule that verdict
-  // is only reached by a full scan after the candidate list ran dry (y is
-  // re-priced fresh every pivot), so it is the same optimality certificate
-  // as a full scan.
+  // Entering-variable selection for one primal iteration: candidate-list
+  // partial Devex; `bland` forces the full lowest-index anti-cycling scan.
+  // Returns false when no eligible candidate exists anywhere — a verdict
+  // only reached by a full scan after the candidate list ran dry (y is
+  // re-priced fresh every pivot), so it is a full scan's optimality
+  // certificate.
   bool price_entering(const std::vector<double>& cost, bool bland,
                       std::size_t& enter, int& dir);
   // Rebuilds the candidate-list units (one unit per column class) after
@@ -196,13 +193,12 @@ class RevisedCore {
   void make_dual_feasible();
   bool driveout_artificials();
 
-  // Shared solve tail from an established (warm, resident, or post-phase-1)
-  // basis: optional dual repair of primal infeasibility, then primal
-  // phase 2. repair_primal is false on the cold path, where phase 1 already
-  // guarantees feasibility (matching the pre-session control flow exactly).
+  // Shared solve tail from an established (seeded, resident, or
+  // post-phase-1) basis: optional dual repair of primal infeasibility, then
+  // primal phase 2. repair_primal is false on the cold path, where phase 1
+  // already guarantees feasibility.
   Outcome finish_from_basis(bool repair_primal);
   Outcome cold_attempt();
-  Outcome solve_once(bool use_warm);
   LpSolution extract(LpStatus status);
 
   // ---- persistent-session internals ----
@@ -215,7 +211,6 @@ class RevisedCore {
   bool residual_ok();
 
   const LpProblem& p_;
-  LpOptions opt_;
   util::telemetry::Registry* reg_ = nullptr;
 
   std::size_t m_ = 0;         // rows
@@ -319,15 +314,14 @@ class RevisedCore {
   bool needs_phase1_ = false;
   bool warm_used_ = false;
 
-  // Session state. lo_ mirrors the structural lower bounds and rhs_shift_
+  // Patch state. lo_ mirrors the structural lower bounds and rhs_shift_
   // the per-row sum of a_std * lo, so patches can maintain the standardized
   // b_ = rel_sign * rhs_raw - rhs_shift incrementally. dirty_cols_ queues
   // patched columns that were basic at patch time for factor updates.
-  std::vector<double> lo_;         // n_struct_, session mode only
-  std::vector<double> rhs_shift_;  // m_, session mode only
+  std::vector<double> lo_;         // n_struct_
+  std::vector<double> rhs_shift_;  // m_
   std::vector<std::size_t> dirty_cols_;
   std::vector<char> col_dirty_;  // n_struct_, dedupes dirty_cols_
-  bool session_mode_ = false;
   bool resident_ok_ = false;  // basis_/status_/factors describe a prior solve
   bool b_dirty_ = false;      // bnorm_ needs a refresh before the next solve
   bool extract_refactor_ok_ = true;  // canonical refactorize succeeded

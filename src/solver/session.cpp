@@ -2,36 +2,26 @@
 
 #include <utility>
 
+#include "solver/revised.h"
 #include "solver/revised_core.h"
-#include "util/check.h"
 #include "util/telemetry.h"
 
 namespace tapo::solver {
 
 struct LpSession::Impl {
   Impl(LpProblem p, const LpOptions& options)
-      : problem(std::move(p)), opt(options), core(problem, sanitize(opt)) {}
-
-  // A session is always the revised engine with per-solve seeds; a stray
-  // Dense selection or dangling warm_start pointer must not leak in.
-  static const LpOptions& sanitize(LpOptions& o) {
-    o.engine = LpEngine::Revised;
-    o.warm_start = nullptr;
-    return o;
-  }
+      : problem(std::move(p)), core(problem, options), reg(options.telemetry) {}
 
   LpProblem problem;
-  LpOptions opt;
   internal::RevisedCore core;
-  util::telemetry::Registry* reg = opt.telemetry;
+  util::telemetry::Registry* reg = nullptr;
   std::uint64_t pending_patches = 0;  // flushed to telemetry per solve
   Stats stats;
 };
 
-LpSession::LpSession(LpProblem problem, const LpOptions& options)
-    : impl_(std::make_unique<Impl>(std::move(problem), options)) {
-  util::telemetry::ScopedTimer timer(impl_->reg, "lp.session.build");
-  impl_->core.setup();
+LpSession::LpSession(LpProblem problem, const LpOptions& options) {
+  util::telemetry::ScopedTimer timer(options.telemetry, "lp.session.build");
+  impl_ = std::make_unique<Impl>(std::move(problem), options);
 }
 
 LpSession::~LpSession() = default;
@@ -68,7 +58,7 @@ LpSolution LpSession::solve(const LpBasis* seed) {
   const internal::RevisedCore::SessionCounters before =
       im.core.session_counters();
 
-  LpSolution sol = im.core.solve_persistent(seed);
+  LpSolution sol = im.core.solve(seed);
 
   ++im.stats.solves;
   im.stats.patches += im.pending_patches;
@@ -99,24 +89,17 @@ LpSolution LpSession::solve(const LpBasis* seed) {
     delta(before.ft_budget_exhausted, after.ft_budget_exhausted,
           "lp.session.ft_budget_exhausted");
 
-    // Mirror the solve_lp dispatcher's lp.* counters so session and
-    // non-session sweeps stay comparable in benches and dashboards. A
-    // resident resume or accepted seed counts as a warm start; an attempted
-    // one that fell back counts as a reject.
-    reg->count("lp.solves");
-    reg->count("lp.iterations", sol.iterations);
+    // The same per-solve lp.* counters as solve_lp, so session and one-shot
+    // solves stay comparable in benches and dashboards. A resident resume or
+    // accepted seed counts as a warm start; an attempted one that fell back
+    // counts as a reject.
+    internal::count_solve(*reg, sol);
     const bool warm_attempted =
         after.seed_imports + after.resident_resumes + after.fallbacks >
         before.seed_imports + before.resident_resumes + before.fallbacks;
     if (warm_attempted) {
       reg->count(sol.warm_used ? "lp.warm_starts" : "lp.warm_rejects");
     }
-    const char* bucket = sol.iterations <= 4     ? "lp.iters.le_4"
-                         : sol.iterations <= 16  ? "lp.iters.le_16"
-                         : sol.iterations <= 64  ? "lp.iters.le_64"
-                         : sol.iterations <= 256 ? "lp.iters.le_256"
-                                                 : "lp.iters.gt_256";
-    reg->count(bucket);
   }
   im.pending_patches = 0;
   return sol;

@@ -2,13 +2,14 @@
 // re-solved many times.
 //
 // solve_lp (lp.h) prices every solve at full fixed cost: build the
-// LpProblem, standardize it into CSC form, refactorize the warm basis, and
-// refactorize once more for canonical extraction. docs/SOLVER.md §6 measured
-// that those fixed costs — not simplex pivots — are why the dense tableau
-// kept winning wall-clock even at a ~0.9 warm-hit rate. An LpSession pays
-// them once: it owns the problem, its standardized arrays, the basis and the
-// LU factors across solves, and callers mutate the resident problem through
-// the structure-preserving patch API instead of rebuilding it.
+// LpProblem, standardize it into CSC form, solve cold, and refactorize once
+// more for canonical extraction. docs/SOLVER.md §6 measured that such fixed
+// costs — not simplex pivots — are why the dense tableau kept winning
+// wall-clock even at a ~0.9 warm-hit rate. An LpSession pays them once: it
+// owns the problem, its standardized arrays, the basis and the LU factors
+// across solves, and callers mutate the resident problem through the
+// structure-preserving patch API instead of rebuilding it. It is also the
+// only way to import a warm basis: solve(seed).
 //
 // Between solves the factorization is maintained, not rebuilt: pivots and
 // patched columns that are currently basic both become in-place
@@ -18,7 +19,9 @@
 // refactorization, and any failure beyond that falls back to the engine's
 // cold path — a session solve is never less correct than a fresh one, and
 // canonical extraction keeps its results a function of the final basis
-// alone, exactly like solve_lp. Protocol details: docs/SOLVER.md §7.
+// alone. A session's first unseeded solve is exactly solve_lp's revised
+// solve: both run the same driver (solver/revised_core.h). Protocol
+// details: docs/SOLVER.md §7.
 //
 // The CRAC grid sweep (core/stage1.cpp), powermin attempts, recovery
 // re-plans and the baseline sweep hold one session per grid-search lane for
@@ -46,14 +49,14 @@ class LpSession {
     std::uint64_t resident_resumes = 0;   // solves resumed without any rebuild
     std::uint64_t seed_imports = 0;       // solves warm-started from a seed
     std::uint64_t ft_budget_exhausted = 0;  // resumes whose patch queue hit
-                                            // the min(ft_max_updates, m/4+1)
+                                            // the min(96, m/4+1) update
                                             // budget and refactorized instead
   };
 
   // Takes ownership of the built problem and standardizes it once
   // (telemetry: lp.session.build). The engine choice in options is ignored —
   // a session is always the revised engine (the dense oracle has no
-  // persistent form); warm_start is ignored in favor of per-solve seeds.
+  // persistent form).
   LpSession(LpProblem problem, const LpOptions& options);
   ~LpSession();
   LpSession(LpSession&&) noexcept;
@@ -67,10 +70,11 @@ class LpSession {
   void patch_cost(std::size_t v, double obj);
 
   // Solves the resident problem. A non-null, non-empty seed re-imports that
-  // basis (a lane's first solve, from a warm seed); otherwise the previous
-  // solve's basis and factors are resumed in place. Results — including the
-  // exported basis and the infeasibility-certificate convention — match
-  // solve_lp with the revised engine on an identically patched problem.
+  // basis (a lane's first solve, from a warm seed); a seed that does not fit
+  // the problem falls back to a cold solve (lp.warm_rejects). Otherwise the
+  // previous solve's basis and factors are resumed in place, or — on the
+  // first solve — the problem is solved cold, exactly as solve_lp with the
+  // revised engine solves it.
   LpSolution solve(const LpBasis* seed = nullptr);
 
   // The resident problem (patched state); useful for oracle re-solves.

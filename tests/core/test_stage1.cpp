@@ -243,36 +243,6 @@ TEST(Stage1, CoarseToFineSweepBuildsOneResidentLp) {
   }
 }
 
-TEST(Stage1, PricingRuleDoesNotChangeThePlan) {
-  // The pricing rule only reorders the sweep's pivots; selection is by
-  // objective and the final re-solve at the winner runs the Dense oracle
-  // cold, so the partial-Devex default must publish the Dantzig sweep's
-  // plan bit for bit at every worker count.
-  const auto scenario = test::make_small_scenario(46, 11, 2);
-  const thermal::HeatFlowModel model(scenario.dc);
-  const Stage1Solver solver(scenario.dc, model);
-
-  Stage1Options dantzig;
-  dantzig.lp.pricing = solver::LpPricing::Dantzig;
-  const Stage1Result reference = solver.solve(dantzig);
-  ASSERT_TRUE(reference.feasible);
-
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    Stage1Options options;
-    options.lp.pricing = solver::LpPricing::PartialDevex;
-    options.threads = threads;
-    const Stage1Result got = solver.solve(options);
-    ASSERT_TRUE(got.feasible);
-    EXPECT_EQ(got.objective, reference.objective);
-    EXPECT_EQ(got.crac_out_c, reference.crac_out_c);
-    EXPECT_EQ(got.node_core_power_kw, reference.node_core_power_kw);
-    EXPECT_EQ(got.compute_power_kw, reference.compute_power_kw);
-    EXPECT_EQ(got.crac_power_kw, reference.crac_power_kw);
-  }
-}
-
 TEST(Stage1, WarmSeedDoesNotChangeThePlan) {
   const auto scenario = test::make_small_scenario(44, 10, 2);
   const thermal::HeatFlowModel model(scenario.dc);

@@ -2,19 +2,21 @@
 //
 // The dense tableau solver is the oracle: the revised engine must agree with
 // it on status for every random instance and on the objective to 1e-7 when
-// both report Optimal. Warm starts must never change what is computed — a
-// warm re-solve is checked against the cold solve of the same problem, and a
-// re-solve that lands on the same basis must reproduce the cold result
-// bit-for-bit (canonical extraction, see docs/SOLVER.md).
+// both report Optimal. Warm starts (LpSession::solve with a seed basis) must
+// never change what is computed — a seeded re-solve is checked against the
+// cold solve of the same problem, and a re-solve that lands on the same
+// basis must reproduce the cold result bit-for-bit (canonical extraction,
+// see docs/SOLVER.md).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "solver/lp.h"
+#include "solver/revised_core.h"
+#include "solver/session.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
 
@@ -73,27 +75,20 @@ LpProblem with_shifted_rhs(const RandomLp& lp, const std::vector<double>& delta)
   return shifted;
 }
 
-LpSolution solve_with(const LpProblem& problem, LpEngine engine,
-                      const LpBasis* warm = nullptr) {
+LpSolution solve_with(const LpProblem& problem, LpEngine engine) {
   LpOptions opt;
   opt.engine = engine;
-  opt.warm_start = warm;
   return solve_lp(problem, opt);
 }
 
-// Revised engine under an explicit pricing rule (the dense oracle ignores
-// LpOptions::pricing and always runs Dantzig).
-LpSolution solve_with_pricing(const LpProblem& problem, LpPricing pricing,
-                              const LpBasis* warm = nullptr) {
+// The one warm-start entry: a fresh session over the problem, seeded with
+// `seed` on its first solve.
+LpSolution solve_seeded(const LpProblem& problem, const LpBasis& seed,
+                        util::telemetry::Registry* reg = nullptr) {
   LpOptions opt;
-  opt.engine = LpEngine::Revised;
-  opt.pricing = pricing;
-  opt.warm_start = warm;
-  return solve_lp(problem, opt);
+  opt.telemetry = reg;
+  return LpSession(problem, opt).solve(&seed);
 }
-
-constexpr LpPricing kAllPricing[] = {LpPricing::Dantzig,
-                                     LpPricing::PartialDevex};
 
 TEST(LpEngines, DifferentialRandomInstances) {
   util::Rng rng(0x1f2e3d4c5b6a7980ULL);
@@ -135,7 +130,7 @@ TEST(LpEngines, WarmEqualsColdAfterRhsPerturbation) {
     const LpProblem shifted = with_shifted_rhs(lp, delta);
 
     const LpSolution cold = solve_with(shifted, LpEngine::Revised);
-    const LpSolution warm = solve_with(shifted, LpEngine::Revised, &base.basis);
+    const LpSolution warm = solve_seeded(shifted, base.basis);
     ASSERT_EQ(cold.status, warm.status) << "trial " << trial;
     if (warm.warm_used) ++warm_accepted;
     if (cold.status != LpStatus::Optimal) continue;
@@ -156,7 +151,7 @@ TEST(LpEngines, WarmFromOwnOptimalBasisIsBitIdentical) {
     const RandomLp lp = make_random_lp(rng, 8, 5);
     const LpSolution cold = solve_with(lp.problem, LpEngine::Revised);
     if (!cold.optimal()) continue;
-    const LpSolution warm = solve_with(lp.problem, LpEngine::Revised, &cold.basis);
+    const LpSolution warm = solve_seeded(lp.problem, cold.basis);
     ASSERT_TRUE(warm.optimal());
     EXPECT_TRUE(warm.warm_used);
     // Same problem, same basis: canonical extraction makes the re-solve
@@ -184,7 +179,7 @@ TEST(LpEngines, CrossEngineWarmStartFromDenseBasis) {
     const RandomLp lp = make_random_lp(rng, 10, 6);
     const LpSolution dense = solve_with(lp.problem, LpEngine::Dense);
     if (!dense.optimal()) continue;
-    const LpSolution warm = solve_with(lp.problem, LpEngine::Revised, &dense.basis);
+    const LpSolution warm = solve_seeded(lp.problem, dense.basis);
     ASSERT_TRUE(warm.optimal());
     EXPECT_NEAR(dense.objective, warm.objective, 1e-8);
     if (warm.warm_used) ++accepted;
@@ -194,52 +189,24 @@ TEST(LpEngines, CrossEngineWarmStartFromDenseBasis) {
 
 TEST(LpEngines, FtUpdateBudgetsAgreeWithTheOracle) {
   // The revised engine maintains its basis factors with in-place
-  // Forrest–Tomlin updates and refactorizes after ft_max_updates of them.
-  // Every budget — from a refactorization per pivot up to one that never
-  // trips on these sizes — must match the dense oracle on status and
-  // objective and return a feasible point.
+  // Forrest–Tomlin updates and refactorizes after kFtMaxUpdates of them. A
+  // cold solve of this size pivots well past that budget, so its answer
+  // comes out of factors rebuilt mid-solve; it must still match the dense
+  // oracle on status, objective and feasibility.
   util::Rng rng(0x6a09e667f3bcc908ULL);
-  std::size_t optimal_count = 0;
-  for (int trial = 0; trial < 80; ++trial) {
-    const std::size_t n_vars = static_cast<std::size_t>(rng.uniform_int(3, 14));
-    const std::size_t n_rows = static_cast<std::size_t>(rng.uniform_int(2, 10));
-    const RandomLp lp = make_random_lp(rng, n_vars, n_rows);
-    const LpSolution dense = solve_with(lp.problem, LpEngine::Dense);
-    if (dense.optimal()) ++optimal_count;
-    for (const std::size_t budget : {std::size_t{1}, std::size_t{2},
-                                     std::size_t{4}, std::size_t{1024}}) {
-      LpOptions opt;
-      opt.engine = LpEngine::Revised;
-      opt.ft_max_updates = budget;
-      const LpSolution revised = solve_lp(lp.problem, opt);
-      ASSERT_EQ(dense.status, revised.status)
-          << "budget " << budget << " trial " << trial;
-      if (!dense.optimal()) continue;
-      EXPECT_NEAR(dense.objective, revised.objective, 1e-7)
-          << "budget " << budget << " trial " << trial;
-      EXPECT_LT(lp.problem.max_violation(revised.x), 1e-6)
-          << "budget " << budget << " trial " << trial;
-    }
-  }
-  EXPECT_GT(optimal_count, 30u);
-}
-
-TEST(LpEngines, FtKnobValidation) {
-  LpProblem lp;
-  lp.add_variable(0.0, 1.0, 1.0);
-  lp.add_constraint({{0, 1.0}}, Relation::LessEq, 0.5);
+  const RandomLp lp = make_random_lp(rng, 160, 120);
+  util::telemetry::Registry reg;
   LpOptions opt;
-  opt.ft_max_updates = 0;
-  EXPECT_DEATH(solve_lp(lp, opt), "ft_max_updates");
-  opt = LpOptions{};
-  opt.ft_fill_factor = 0.5;
-  EXPECT_DEATH(solve_lp(lp, opt), "ft_fill_factor");
-  opt = LpOptions{};
-  opt.ft_pivot_tolerance = 0.0;
-  EXPECT_DEATH(solve_lp(lp, opt), "ft_pivot_tolerance");
-  opt = LpOptions{};
-  opt.ft_pivot_tolerance = 1.5;
-  EXPECT_DEATH(solve_lp(lp, opt), "ft_pivot_tolerance");
+  opt.telemetry = &reg;
+  const LpSolution revised = solve_lp(lp.problem, opt);
+  const LpSolution dense = solve_with(lp.problem, LpEngine::Dense);
+  EXPECT_GT(reg.counter_value("lp.ft.updates"),
+            internal::RevisedCore::kFtMaxUpdates);
+  ASSERT_EQ(dense.status, revised.status);
+  ASSERT_TRUE(dense.optimal());
+  EXPECT_NEAR(dense.objective, revised.objective, 1e-7);
+  EXPECT_LT(lp.problem.max_violation(revised.x), 1e-6);
+  EXPECT_LT(lp.problem.max_violation(dense.x), 1e-6);
 }
 
 // Beale's classic cycling example: pure Dantzig pivoting with a
@@ -263,56 +230,11 @@ TEST(LpEngines, BealeCyclingInstanceTerminates) {
     ASSERT_EQ(sol.status, LpStatus::Optimal);
     EXPECT_NEAR(sol.objective, 0.05, 1e-9);
   }
-  // Every pricing rule must terminate here too: the degenerate-iteration
-  // stall counter trips the Bland fallback regardless of the rule (Bland's
-  // full lowest-index scan bypasses both the Devex scores and the partial
-  // window — a windowed anti-cycling scan would forfeit the guarantee).
-  for (const LpPricing pricing : kAllPricing) {
-    const LpSolution sol = solve_with_pricing(lp, pricing);
-    ASSERT_EQ(sol.status, LpStatus::Optimal) << to_string(pricing);
-    EXPECT_NEAR(sol.objective, 0.05, 1e-9) << to_string(pricing);
-  }
 }
 
-// Pricing-rule differential: every rule is a different route to the same
-// optimum. Across a random corpus both rules must agree with the dense
-// oracle on status and objective, and every returned point must actually be
-// feasible. Iteration counts are logged (not asserted — rule quality is
-// measured in bench/solver_perf.cpp, where Devex's whole point is that they
-// differ).
-TEST(LpEngines, PricingRulesDifferentialRandomInstances) {
-  util::Rng rng(0x7788aa99bbcc0011ULL);
-  std::size_t optimal_count = 0;
-  std::size_t iters[2] = {0, 0};
-  for (int trial = 0; trial < 120; ++trial) {
-    const std::size_t n_vars = static_cast<std::size_t>(rng.uniform_int(2, 14));
-    const std::size_t n_rows = static_cast<std::size_t>(rng.uniform_int(1, 10));
-    const RandomLp lp = make_random_lp(rng, n_vars, n_rows);
-    const LpSolution dense = solve_with(lp.problem, LpEngine::Dense);
-    for (int p = 0; p < 2; ++p) {
-      const LpSolution sol = solve_with_pricing(lp.problem, kAllPricing[p]);
-      ASSERT_EQ(dense.status, sol.status)
-          << "trial " << trial << " pricing " << to_string(kAllPricing[p]);
-      if (dense.status != LpStatus::Optimal) continue;
-      EXPECT_NEAR(dense.objective, sol.objective, 1e-7)
-          << "trial " << trial << " pricing " << to_string(kAllPricing[p]);
-      EXPECT_LT(lp.problem.max_violation(sol.x), 1e-6)
-          << "trial " << trial << " pricing " << to_string(kAllPricing[p]);
-      iters[p] += sol.iterations;
-    }
-    if (dense.status == LpStatus::Optimal) ++optimal_count;
-  }
-  EXPECT_GT(optimal_count, 50u);
-  for (int p = 0; p < 2; ++p) {
-    ::testing::Test::RecordProperty(
-        std::string("total_iterations_") + to_string(kAllPricing[p]),
-        static_cast<int>(iters[p]));
-  }
-}
-
-// A warm start interacts with each pricing rule the same way: the imported
-// basis decides feasibility, the rule only orders the remaining pivots.
-TEST(LpEngines, PricingRulesAgreeOnWarmStartedResolves) {
+// A seeded re-solve after an RHS shift agrees with the dense oracle: the
+// imported basis decides where the solve starts, never what it certifies.
+TEST(LpEngines, SeededResolvesAgreeWithTheOracle) {
   util::Rng rng(0x31415926535897ULL);
   std::size_t compared = 0;
   for (int trial = 0; trial < 40; ++trial) {
@@ -325,31 +247,13 @@ TEST(LpEngines, PricingRulesAgreeOnWarmStartedResolves) {
     for (double& d : delta) d = rng.uniform(-0.3, 0.3);
     const LpProblem shifted = with_shifted_rhs(lp, delta);
     const LpSolution oracle = solve_with(shifted, LpEngine::Dense);
-    for (const LpPricing pricing : kAllPricing) {
-      const LpSolution warm = solve_with_pricing(shifted, pricing, &base.basis);
-      ASSERT_EQ(oracle.status, warm.status) << to_string(pricing);
-      if (!oracle.optimal()) continue;
-      EXPECT_NEAR(oracle.objective, warm.objective, 1e-7) << to_string(pricing);
-    }
-    if (oracle.optimal()) ++compared;
+    const LpSolution warm = solve_seeded(shifted, base.basis);
+    ASSERT_EQ(oracle.status, warm.status) << "trial " << trial;
+    if (!oracle.optimal()) continue;
+    EXPECT_NEAR(oracle.objective, warm.objective, 1e-7) << "trial " << trial;
+    ++compared;
   }
   EXPECT_GT(compared, 15u);
-}
-
-// parse_lp_pricing inverts to_string and rejects junk without clobbering out.
-TEST(LpEngines, PricingNameRoundTrip) {
-  for (const LpPricing pricing : kAllPricing) {
-    LpPricing parsed = LpPricing::Dantzig;
-    EXPECT_TRUE(parse_lp_pricing(to_string(pricing), &parsed));
-    EXPECT_EQ(pricing, parsed);
-  }
-  LpPricing out = LpPricing::PartialDevex;
-  EXPECT_FALSE(parse_lp_pricing("steepest_edge", &out));
-  EXPECT_EQ(out, LpPricing::PartialDevex);
-  // "devex" (full-scan Devex) is not a rule of this engine.
-  EXPECT_FALSE(parse_lp_pricing("devex", &out));
-  EXPECT_EQ(out, LpPricing::PartialDevex);
-  EXPECT_FALSE(parse_lp_pricing(nullptr, &out));
 }
 
 TEST(LpEngines, IterLimitIsReportedNotLooped) {
@@ -375,11 +279,7 @@ TEST(LpEngines, MalformedWarmBasisFallsBackToCold) {
   LpBasis wrong_size;
   wrong_size.status.assign(3, LpBasisStatus::Basic);
   util::telemetry::Registry reg;
-  LpOptions opt;
-  opt.engine = LpEngine::Revised;
-  opt.warm_start = &wrong_size;
-  opt.telemetry = &reg;
-  const LpSolution sol = solve_lp(lp.problem, opt);
+  const LpSolution sol = solve_seeded(lp.problem, wrong_size, &reg);
   ASSERT_TRUE(sol.optimal());
   EXPECT_FALSE(sol.warm_used);
   EXPECT_EQ(sol.objective, cold.objective);
@@ -391,7 +291,7 @@ TEST(LpEngines, MalformedWarmBasisFallsBackToCold) {
   all_basic.status.assign(
       lp.problem.num_vars() + lp.problem.num_constraints(),
       LpBasisStatus::Basic);
-  const LpSolution sol2 = solve_with(lp.problem, LpEngine::Revised, &all_basic);
+  const LpSolution sol2 = solve_seeded(lp.problem, all_basic);
   ASSERT_TRUE(sol2.optimal());
   EXPECT_FALSE(sol2.warm_used);
   EXPECT_EQ(sol2.objective, cold.objective);

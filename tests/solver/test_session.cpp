@@ -82,19 +82,14 @@ MutableLp make_random_lp(util::Rng& rng, std::size_t n_vars, std::size_t n_rows)
   return lp;
 }
 
-LpSolution solve_with(const LpProblem& problem, LpEngine engine,
-                      const LpBasis* warm = nullptr) {
+LpSolution solve_with(const LpProblem& problem, LpEngine engine) {
   LpOptions opt;
   opt.engine = engine;
-  opt.warm_start = warm;
   return solve_lp(problem, opt);
 }
 
-// Applies one random patch to every listed session and the mutable model
-// (several sessions lets a differential drag distinct configurations, e.g.
-// pricing rules, through the identical patch sequence).
-void random_patch(util::Rng& rng, std::vector<LpSession*> sessions,
-                  MutableLp& lp) {
+// Applies one random patch to the session and the mutable model.
+void random_patch(util::Rng& rng, LpSession& session, MutableLp& lp) {
   const double pick = rng.next_double();
   if (pick < 0.35 && !lp.rhs.empty()) {
     const auto r = static_cast<std::size_t>(
@@ -103,7 +98,7 @@ void random_patch(util::Rng& rng, std::vector<LpSession*> sessions,
                            ? rng.uniform(-6.0, -0.5)
                            : rng.uniform(-1.0, 6.0);
     lp.rhs[r] = rhs;
-    for (LpSession* session : sessions) session->patch_rhs(r, rhs);
+    session.patch_rhs(r, rhs);
   } else if (pick < 0.70) {
     // Coefficient patch on an existing (possibly zero-placeholder) term.
     for (int attempt = 0; attempt < 8; ++attempt) {
@@ -114,9 +109,7 @@ void random_patch(util::Rng& rng, std::vector<LpSession*> sessions,
           rng.uniform_int(0, static_cast<int>(lp.terms[r].size()) - 1));
       const double coeff = rng.uniform(-1.5, 1.5);
       lp.terms[r][t].second = coeff;
-      for (LpSession* session : sessions) {
-        session->patch_coefficient(r, lp.terms[r][t].first, coeff);
-      }
+      session.patch_coefficient(r, lp.terms[r][t].first, coeff);
       return;
     }
   } else if (pick < 0.85) {
@@ -127,18 +120,14 @@ void random_patch(util::Rng& rng, std::vector<LpSession*> sessions,
         rng.next_double() < 0.7 ? lo + rng.uniform(0.5, 4.0) : kLpInfinity;
     lp.lo[v] = lo;
     lp.hi[v] = hi;
-    for (LpSession* session : sessions) session->patch_bound(v, lo, hi);
+    session.patch_bound(v, lo, hi);
   } else {
     const auto v = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<int>(lp.obj.size()) - 1));
     const double obj = rng.uniform(-2.0, 2.0);
     lp.obj[v] = obj;
-    for (LpSession* session : sessions) session->patch_cost(v, obj);
+    session.patch_cost(v, obj);
   }
-}
-
-void random_patch(util::Rng& rng, LpSession& session, MutableLp& lp) {
-  random_patch(rng, std::vector<LpSession*>{&session}, lp);
 }
 
 TEST(LpSession, RandomPatchSequencesMatchFreshSolves) {
@@ -192,63 +181,6 @@ TEST(LpSession, RandomPatchSequencesMatchFreshSolves) {
   EXPECT_LT(optimal_count, solves);
 }
 
-TEST(LpSession, PricingRulesAgreeOnRandomPatchSequences) {
-  // Two sessions over the same problem, one per pricing rule, dragged
-  // through the identical patch sequence. Devex weights and the partial
-  // window cursor survive patches and resident resumes (docs/SOLVER.md §8)
-  // — this differential is what pins that carried state: stale weights can
-  // only reorder pivots, never change the certified optimum, so both
-  // sessions must keep matching the dense oracle at every step.
-  util::Rng rng(0x9e3779b97f4a7c15ULL);
-  std::size_t optimal_count = 0, solves = 0, borderline = 0;
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n_vars = static_cast<std::size_t>(rng.uniform_int(2, 14));
-    const std::size_t n_rows = static_cast<std::size_t>(rng.uniform_int(1, 10));
-    MutableLp lp = make_random_lp(rng, n_vars, n_rows);
-    constexpr LpPricing kRules[] = {LpPricing::Dantzig,
-                                    LpPricing::PartialDevex};
-    std::vector<LpSession> sessions;
-    sessions.reserve(2);
-    for (const LpPricing pricing : kRules) {
-      LpOptions opt;
-      opt.pricing = pricing;
-      sessions.emplace_back(lp.build(), opt);
-    }
-    const int steps = rng.uniform_int(3, 7);
-    for (int step = 0; step < steps; ++step) {
-      const int patches = rng.uniform_int(1, 4);
-      for (int k = 0; k < patches; ++k) {
-        random_patch(rng, {&sessions[0], &sessions[1]}, lp);
-      }
-      LpSolution sols[2];
-      for (int p = 0; p < 2; ++p) sols[p] = sessions[p].solve();
-      ++solves;
-      const LpProblem fresh = lp.build();
-      const LpSolution dense = solve_with(fresh, LpEngine::Dense);
-      const LpSolution revised = solve_with(fresh, LpEngine::Revised);
-      if (dense.status != revised.status) {
-        ++borderline;  // engines themselves split: phase-1 threshold case
-        continue;
-      }
-      for (int p = 0; p < 2; ++p) {
-        ASSERT_EQ(dense.status, sols[p].status)
-            << "trial " << trial << " step " << step << " pricing "
-            << to_string(kRules[p]);
-        if (dense.status != LpStatus::Optimal) continue;
-        EXPECT_NEAR(dense.objective, sols[p].objective, 1e-7)
-            << "trial " << trial << " step " << step << " pricing "
-            << to_string(kRules[p]);
-        EXPECT_LT(fresh.max_violation(sols[p].x), 1e-6)
-            << "trial " << trial << " step " << step << " pricing "
-            << to_string(kRules[p]);
-      }
-      if (dense.status == LpStatus::Optimal) ++optimal_count;
-    }
-  }
-  EXPECT_GT(optimal_count, solves / 3);
-  EXPECT_LT(borderline, solves / 20);
-}
-
 TEST(LpSession, UnpatchedResolveIsBitIdentical) {
   util::Rng rng(0x5eed5eed5eed5eedULL);
   std::size_t checked = 0;
@@ -278,9 +210,9 @@ TEST(LpSession, UnpatchedResolveIsBitIdentical) {
 }
 
 TEST(LpSession, SeedImportMatchesWarmSolveLp) {
-  // A seeded session solve is the session form of solve_lp's warm start:
-  // same import, same dual repair, same canonical extraction — so on the
-  // same problem and seed it must be bit-identical to the one-shot path.
+  // A seeded session solve imports the basis, repairs and extracts
+  // canonically — so seeded with the optimal basis of a one-shot solve of
+  // the same problem, it must reproduce that solve bit for bit.
   util::Rng rng(0xabcddcba12344321ULL);
   std::size_t checked = 0;
   for (int trial = 0; trial < 25; ++trial) {
@@ -288,16 +220,15 @@ TEST(LpSession, SeedImportMatchesWarmSolveLp) {
     const LpProblem fresh = lp.build();
     const LpSolution cold = solve_with(fresh, LpEngine::Revised);
     if (!cold.optimal()) continue;
-    const LpSolution warm = solve_with(fresh, LpEngine::Revised, &cold.basis);
-    ASSERT_TRUE(warm.optimal());
 
     LpSession session(lp.build(), LpOptions{});
     const LpSolution seeded = session.solve(&cold.basis);
     ASSERT_TRUE(seeded.optimal());
-    EXPECT_EQ(warm.objective, seeded.objective);
-    ASSERT_EQ(warm.x.size(), seeded.x.size());
-    for (std::size_t v = 0; v < warm.x.size(); ++v) {
-      EXPECT_EQ(warm.x[v], seeded.x[v]) << "var " << v;
+    EXPECT_TRUE(seeded.warm_used);
+    EXPECT_EQ(cold.objective, seeded.objective);
+    ASSERT_EQ(cold.x.size(), seeded.x.size());
+    for (std::size_t v = 0; v < cold.x.size(); ++v) {
+      EXPECT_EQ(cold.x[v], seeded.x[v]) << "var " << v;
     }
     EXPECT_EQ(session.stats().seed_imports, 1u);
     ++checked;

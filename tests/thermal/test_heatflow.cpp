@@ -84,17 +84,17 @@ TEST(HeatFlow, LinearizeMatchesSolve) {
   const auto dc = make_tiny_dc({0, 1, 1}, 2);
   const HeatFlowModel model(dc);
   const std::vector<double> crac_out{15.5, 17.0};
-  const LinearResponse lr = model.linearize(crac_out);
+  const HeatFlowModel::AffineOffsets off = model.offsets(crac_out);
   const std::vector<double> power{0.3, 0.8, 0.05};
   const auto temps = model.solve(crac_out, power);
 
-  const auto node_in_pred = lr.node_in_coeff.multiply(power);
+  const auto node_in_pred = model.node_in_coeff().multiply(power);
   for (std::size_t j = 0; j < 3; ++j) {
-    EXPECT_NEAR(lr.node_in0[j] + node_in_pred[j], temps.node_in[j], 1e-9);
+    EXPECT_NEAR(off.node_in0[j] + node_in_pred[j], temps.node_in[j], 1e-9);
   }
-  const auto crac_in_pred = lr.crac_in_coeff.multiply(power);
+  const auto crac_in_pred = model.crac_in_coeff().multiply(power);
   for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_NEAR(lr.crac_in0[c] + crac_in_pred[c], temps.crac_in[c], 1e-9);
+    EXPECT_NEAR(off.crac_in0[c] + crac_in_pred[c], temps.crac_in[c], 1e-9);
   }
 }
 
@@ -102,15 +102,16 @@ TEST(HeatFlow, LinearResponseCoefficientsNonNegative) {
   // More power anywhere never cools any inlet: (I-G_nn)^-1 = sum G^k >= 0.
   const auto dc = make_tiny_dc({0, 0, 1, 1}, 2);
   const HeatFlowModel model(dc);
-  const LinearResponse lr = model.linearize({16.0, 16.0});
-  for (std::size_t r = 0; r < lr.node_in_coeff.rows(); ++r) {
-    for (std::size_t c = 0; c < lr.node_in_coeff.cols(); ++c) {
-      EXPECT_GE(lr.node_in_coeff(r, c), -1e-12);
+  const solver::Matrix& node_coeff = model.node_in_coeff();
+  const solver::Matrix& crac_coeff = model.crac_in_coeff();
+  for (std::size_t r = 0; r < node_coeff.rows(); ++r) {
+    for (std::size_t c = 0; c < node_coeff.cols(); ++c) {
+      EXPECT_GE(node_coeff(r, c), -1e-12);
     }
   }
-  for (std::size_t r = 0; r < lr.crac_in_coeff.rows(); ++r) {
-    for (std::size_t c = 0; c < lr.crac_in_coeff.cols(); ++c) {
-      EXPECT_GE(lr.crac_in_coeff(r, c), -1e-12);
+  for (std::size_t r = 0; r < crac_coeff.rows(); ++r) {
+    for (std::size_t c = 0; c < crac_coeff.cols(); ++c) {
+      EXPECT_GE(crac_coeff(r, c), -1e-12);
     }
   }
 }
